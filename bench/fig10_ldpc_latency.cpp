@@ -10,7 +10,7 @@
 ///
 /// Runtime/accuracy trade-off: the paper targets BER 1e-5, which needs
 /// hours of Monte Carlo. The default scenario targets BER 1e-4 with
-/// capped codeword counts (a few minutes) — the W/N trends and the
+/// capped codeword counts (~22 s on 4 cores) — the W/N trends and the
 /// CC-vs-BC ordering are preserved — though compressed: at 1e-4 the
 /// codes sit near the top of their waterfalls where W/N differences are
 /// small. Set WI_FIG10_FULL=1 for BER 1e-5 with large caps (the paper's

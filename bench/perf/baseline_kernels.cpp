@@ -1,9 +1,10 @@
 /// \file baseline_kernels.cpp
 /// \brief Frozen pre-optimization kernels; see baseline_kernels.hpp.
 ///
-/// Bodies are verbatim copies of src/comm/src/info_rate.cpp and
-/// src/noc/src/flit_sim.cpp as they stood before the vectorization PR
-/// (modulo namespace and the explicit wi:: qualifications).
+/// Bodies are verbatim copies of src/comm/src/info_rate.cpp,
+/// src/noc/src/flit_sim.cpp and src/fec/src/bp_decoder.cpp as they stood
+/// before each was optimized (modulo namespace and the explicit wi::
+/// and fec:: qualifications).
 
 #include "baseline_kernels.hpp"
 
@@ -329,6 +330,157 @@ noc::FlitSimResult simulate_network(const noc::Topology& topology,
        static_cast<double>(modules));
   // Stability: everything measured was eventually delivered.
   result.stable = result.delivered >= result.injected * 995 / 1000;
+  return result;
+}
+
+BpDecoder::BpDecoder(const fec::SparseBinaryMatrix& h)
+    : n_vars_(h.cols()), n_checks_(h.rows()) {
+  check_edge_begin_.resize(n_checks_ + 1, 0);
+  for (std::size_t c = 0; c < n_checks_; ++c) {
+    check_edge_begin_[c + 1] =
+        check_edge_begin_[c] + static_cast<std::uint32_t>(h.row(c).size());
+  }
+  edge_var_.resize(check_edge_begin_[n_checks_]);
+  var_edges_.resize(n_vars_);
+  for (std::size_t c = 0; c < n_checks_; ++c) {
+    std::uint32_t e = check_edge_begin_[c];
+    for (const std::uint32_t v : h.row(c)) {
+      edge_var_[e] = v;
+      var_edges_[v].push_back(e);
+      ++e;
+    }
+  }
+}
+
+fec::BpResult BpDecoder::decode(const std::vector<double>& channel_llr,
+                                const fec::BpOptions& options,
+                                const std::vector<std::uint8_t>* check_parity) const {
+  if (channel_llr.size() != n_vars_) {
+    throw std::invalid_argument("BpDecoder::decode: LLR length mismatch");
+  }
+  if (check_parity != nullptr && check_parity->size() != n_checks_) {
+    throw std::invalid_argument("BpDecoder::decode: parity length mismatch");
+  }
+  const std::size_t n_edges = edge_var_.size();
+  std::vector<double> v2c(n_edges);
+  std::vector<double> c2v(n_edges, 0.0);
+
+  fec::BpResult result;
+  result.hard.assign(n_vars_, 0);
+  result.llr_out = channel_llr;
+
+  // Initial variable-to-check messages are the channel LLRs.
+  for (std::size_t e = 0; e < n_edges; ++e) {
+    v2c[e] = channel_llr[edge_var_[e]];
+  }
+
+  const double clip = options.llr_clip;
+  auto clipped = [clip](double x) { return std::clamp(x, -clip, clip); };
+
+  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+    result.iterations = iter;
+
+    // Check node update.
+    for (std::size_t c = 0; c < n_checks_; ++c) {
+      const std::uint32_t begin = check_edge_begin_[c];
+      const std::uint32_t end = check_edge_begin_[c + 1];
+      const double target_sign =
+          (check_parity != nullptr && (*check_parity)[c]) ? -1.0 : 1.0;
+      if (options.min_sum) {
+        // Track the two smallest magnitudes and the total sign.
+        double min1 = 1e300;
+        double min2 = 1e300;
+        std::uint32_t min1_edge = begin;
+        double sign_product = target_sign;
+        for (std::uint32_t e = begin; e < end; ++e) {
+          const double m = v2c[e];
+          const double mag = std::abs(m);
+          if (m < 0.0) sign_product = -sign_product;
+          if (mag < min1) {
+            min2 = min1;
+            min1 = mag;
+            min1_edge = e;
+          } else if (mag < min2) {
+            min2 = mag;
+          }
+        }
+        for (std::uint32_t e = begin; e < end; ++e) {
+          const double mag = (e == min1_edge) ? min2 : min1;
+          double sign = sign_product;
+          if (v2c[e] < 0.0) sign = -sign;
+          c2v[e] = clipped(options.min_sum_scale * sign * mag);
+        }
+      } else {
+        // Sum-product via the tanh rule, leave-one-out by division with
+        // a guarded fallback when a message saturates.
+        double prod = target_sign;
+        bool saturated = false;
+        for (std::uint32_t e = begin; e < end; ++e) {
+          const double t = std::tanh(0.5 * clipped(v2c[e]));
+          if (std::abs(t) < 1e-12) saturated = true;
+          prod *= t;
+        }
+        for (std::uint32_t e = begin; e < end; ++e) {
+          double t_out;
+          const double t_e = std::tanh(0.5 * clipped(v2c[e]));
+          if (!saturated && std::abs(t_e) > 1e-12) {
+            t_out = prod / t_e;
+          } else {
+            // Recompute leave-one-out explicitly.
+            t_out = target_sign;
+            for (std::uint32_t e2 = begin; e2 < end; ++e2) {
+              if (e2 == e) continue;
+              t_out *= std::tanh(0.5 * clipped(v2c[e2]));
+            }
+          }
+          t_out = std::clamp(t_out, -0.9999999999, 0.9999999999);
+          c2v[e] = clipped(2.0 * std::atanh(t_out));
+        }
+      }
+    }
+
+    // Variable node update and posterior.
+    for (std::size_t v = 0; v < n_vars_; ++v) {
+      double total = channel_llr[v];
+      for (const std::uint32_t e : var_edges_[v]) total += c2v[e];
+      result.llr_out[v] = total;
+      result.hard[v] = total < 0.0 ? 1 : 0;
+      for (const std::uint32_t e : var_edges_[v]) {
+        v2c[e] = clipped(total - c2v[e]);
+      }
+    }
+
+    if (options.early_stop) {
+      bool satisfied = true;
+      for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
+        std::uint8_t parity = 0;
+        for (std::uint32_t e = check_edge_begin_[c];
+             e < check_edge_begin_[c + 1]; ++e) {
+          parity ^= result.hard[edge_var_[e]];
+        }
+        const std::uint8_t target =
+            (check_parity != nullptr) ? (*check_parity)[c] : 0;
+        if (parity != target) satisfied = false;
+      }
+      if (satisfied) {
+        result.converged = true;
+        return result;
+      }
+    }
+  }
+  // Final syndrome check when early_stop was off or never hit.
+  bool satisfied = true;
+  for (std::size_t c = 0; c < n_checks_ && satisfied; ++c) {
+    std::uint8_t parity = 0;
+    for (std::uint32_t e = check_edge_begin_[c]; e < check_edge_begin_[c + 1];
+         ++e) {
+      parity ^= result.hard[edge_var_[e]];
+    }
+    const std::uint8_t target =
+        (check_parity != nullptr) ? (*check_parity)[c] : 0;
+    if (parity != target) satisfied = false;
+  }
+  result.converged = satisfied;
   return result;
 }
 

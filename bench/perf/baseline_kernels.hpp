@@ -1,8 +1,8 @@
 #pragma once
 /// \file baseline_kernels.hpp
-/// \brief Pre-optimization reference implementations of the two hot
+/// \brief Pre-optimization reference implementations of the hot
 ///        simulation kernels (and their symbolwise/entropy siblings),
-///        frozen as of the PR that vectorized them.
+///        each frozen as of the PR that optimized it.
 ///
 /// They exist for two reasons: the bench/perf suite and tools/perf_report
 /// measure the optimized kernels against them in the same process (so
@@ -11,7 +11,11 @@
 /// produce bit-identical outputs at fixed seeds. Do not "fix" or speed
 /// these up — they are the measurement yardstick.
 
+#include <cstdint>
+#include <vector>
+
 #include "wi/comm/info_rate.hpp"
+#include "wi/fec/bp_decoder.hpp"
 #include "wi/noc/flit_sim.hpp"
 
 namespace wi::perf_baseline {
@@ -37,5 +41,25 @@ namespace wi::perf_baseline {
     const noc::Topology& topology, const noc::Routing& routing,
     const noc::TrafficPattern& traffic, double injection_rate,
     const noc::FlitSimConfig& config = {});
+
+/// Old fec::BpDecoder: per-variable edge lists in nested vectors, fresh
+/// message buffers on every call, and tanh evaluated twice per edge per
+/// iteration (deg + 1 times per edge on a check with a zero message).
+class BpDecoder {
+ public:
+  explicit BpDecoder(const fec::SparseBinaryMatrix& h);
+
+  [[nodiscard]] fec::BpResult decode(
+      const std::vector<double>& channel_llr,
+      const fec::BpOptions& options = {},
+      const std::vector<std::uint8_t>* check_parity = nullptr) const;
+
+ private:
+  std::size_t n_vars_;
+  std::size_t n_checks_;
+  std::vector<std::uint32_t> check_edge_begin_;
+  std::vector<std::uint32_t> edge_var_;
+  std::vector<std::vector<std::uint32_t>> var_edges_;
+};
 
 }  // namespace wi::perf_baseline

@@ -1,14 +1,11 @@
 #include "wi/core/phy_abstraction.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "wi/common/math.hpp"
+#include "wi/common/parallel.hpp"
 #include "wi/comm/info_rate.hpp"
 
 namespace wi::core {
@@ -66,38 +63,8 @@ PhyAbstraction::PhyAbstraction(PhyReceiver receiver, double bandwidth_hz,
     rate_bpcu_[i] = rate;
   };
 
-  std::size_t workers = threads;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  workers = std::min(workers, snr_grid_db_.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < snr_grid_db_.size(); ++i) compute_point(i);
-  } else {
-    // Work stealing over the grid; each point writes only its own slot.
-    std::atomic<std::size_t> next{0};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-    auto worker = [&]() {
-      while (true) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= snr_grid_db_.size()) break;
-        try {
-          compute_point(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t t = 0; t + 1 < workers; ++t) pool.emplace_back(worker);
-    worker();
-    for (auto& thread : pool) thread.join();
-    if (error) std::rethrow_exception(error);
-  }
+  // Each point writes only its own slot.
+  parallel_for(snr_grid_db_.size(), threads, compute_point);
   // Enforce monotonicity (Monte-Carlo jitter) so required_snr_db is
   // well defined.
   for (std::size_t i = 1; i < rate_bpcu_.size(); ++i) {

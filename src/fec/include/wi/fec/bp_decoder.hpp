@@ -5,6 +5,7 @@
 ///        targets so a window decoder can freeze already-decoded symbols.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "wi/fec/sparse_matrix.hpp"
@@ -30,7 +31,9 @@ struct BpResult {
 
 /// Flooding-schedule BP decoder bound to a parity-check matrix.
 ///
-/// The LLR convention is positive = bit 0 more likely.
+/// The LLR convention is positive = bit 0 more likely. decode() is
+/// const and safe to call concurrently: its message buffers are a
+/// per-thread workspace reused across calls.
 class BpDecoder {
  public:
   explicit BpDecoder(const SparseBinaryMatrix& h);
@@ -42,17 +45,26 @@ class BpDecoder {
       const std::vector<double>& channel_llr, const BpOptions& options = {},
       const std::vector<std::uint8_t>* check_parity = nullptr) const;
 
+  /// Same decode into `out`, reusing its buffers: the allocation-free
+  /// path for callers that decode many words (Monte-Carlo loops, the
+  /// window decoder's positions).
+  void decode(std::span<const double> channel_llr, const BpOptions& options,
+              const std::vector<std::uint8_t>* check_parity,
+              BpResult& out) const;
+
   [[nodiscard]] std::size_t variable_count() const { return n_vars_; }
   [[nodiscard]] std::size_t check_count() const { return n_checks_; }
 
  private:
   std::size_t n_vars_;
   std::size_t n_checks_;
-  // Edge arrays: edges are grouped by check; per edge the variable it
-  // touches, plus per variable the list of its edge ids.
+  // Edge arrays in CSR form: edges are grouped by check, and per edge
+  // the variable it touches; per variable the ids of its edges, in
+  // increasing order.
   std::vector<std::uint32_t> check_edge_begin_;  ///< size n_checks+1
   std::vector<std::uint32_t> edge_var_;          ///< size n_edges
-  std::vector<std::vector<std::uint32_t>> var_edges_;
+  std::vector<std::uint32_t> var_edge_begin_;    ///< size n_vars+1
+  std::vector<std::uint32_t> var_edge_ids_;      ///< size n_edges
 };
 
 }  // namespace wi::fec

@@ -25,12 +25,13 @@ BerResult simulate_ber_block(const QcLdpcBlockCode& code,
 
   BerResult result;
   std::vector<double> llr(n);
+  BpResult bp;
   while (result.codewords < config.max_codewords &&
          result.bit_errors < config.min_errors) {
     for (std::size_t i = 0; i < n; ++i) {
       llr[i] = llr_scale * (1.0 + sigma * rng.gaussian());
     }
-    const BpResult bp = decoder.decode(llr, config.bp);
+    decoder.decode(llr, config.bp, nullptr, bp);
     for (std::size_t i = 0; i < n; ++i) {
       result.bit_errors += bp.hard[i];
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace wi::fec {
@@ -76,15 +77,19 @@ WindowDecodeResult WindowDecoder::decode(
   WindowDecodeResult result;
   result.hard.assign(channel_llr.size(), 0);
 
+  // Per-thread buffers reused across positions and calls (decode is
+  // const and may run concurrently).
+  thread_local std::vector<std::uint8_t> parity;
+  thread_local BpResult bp;
   for (const Position& pos : positions_) {
-    std::vector<std::uint8_t> parity(pos.chk_end - pos.chk_begin, 0);
+    parity.assign(pos.chk_end - pos.chk_begin, 0);
     for (const auto& [check, var] : pos.frozen) {
       parity[check] ^= result.hard[var];
     }
-    std::vector<double> sub_llr(
-        channel_llr.begin() + static_cast<std::ptrdiff_t>(pos.var_begin),
-        channel_llr.begin() + static_cast<std::ptrdiff_t>(pos.var_end));
-    const BpResult bp = pos.decoder->decode(sub_llr, bp_options_, &parity);
+    pos.decoder->decode(
+        std::span(channel_llr).subspan(pos.var_begin,
+                                       pos.var_end - pos.var_begin),
+        bp_options_, &parity, bp);
     ++result.windows_run;
     result.bp_iterations += static_cast<std::size_t>(bp.iterations);
     if (!bp.converged) ++result.unconverged;

@@ -18,6 +18,7 @@
 /// plugin's registration hook, so static-archive linking can never drop
 /// a plugin object silently.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -32,18 +33,25 @@
 namespace wi::sim {
 
 /// Execution environment a runner sees: the engine's shared PHY curve
-/// cache, an engine-level seed salt, and the result hooks (notes that
-/// end up on the RunResult next to the table).
+/// cache, an engine-level seed salt, the thread budget for the runner's
+/// own pool, and the result hooks (notes that end up on the RunResult
+/// next to the table).
 class WorkloadEnv {
  public:
-  explicit WorkloadEnv(PhyCurveCache& phy_cache, std::uint64_t seed = 0)
-      : phy_cache_(phy_cache), seed_(seed) {}
+  explicit WorkloadEnv(PhyCurveCache& phy_cache, std::uint64_t seed = 0,
+                       std::size_t threads = 1)
+      : phy_cache_(phy_cache), seed_(seed), threads_(threads) {}
 
   [[nodiscard]] PhyCurveCache& phy_cache() { return phy_cache_; }
 
   /// Engine-level seed salt (0 for direct runs; campaigns reseed the
   /// payload via WorkloadRunner::apply_seed instead).
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
+
+  /// Workers a runner may use for independent parts of one scenario
+  /// (>= 1). The engine passes 1 where scenarios already run in
+  /// parallel, so results must not depend on this value.
+  [[nodiscard]] std::size_t threads() const { return threads_; }
 
   /// Result hook: appends one line to the RunResult's notes.
   void note(std::string line) { notes_.push_back(std::move(line)); }
@@ -53,6 +61,7 @@ class WorkloadEnv {
  private:
   PhyCurveCache& phy_cache_;
   std::uint64_t seed_ = 0;
+  std::size_t threads_ = 1;
   std::vector<std::string> notes_;
 };
 

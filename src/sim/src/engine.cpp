@@ -1,11 +1,11 @@
 #include "wi/sim/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <ostream>
 #include <thread>
 #include <utility>
 
+#include "wi/common/parallel.hpp"
 #include "wi/sim/workload.hpp"
 
 namespace wi::sim {
@@ -32,7 +32,11 @@ RunResult SimEngine::run(const ScenarioSpec& spec) {
     if (result.status.is_ok()) {
       const WorkloadRunner& runner =
           WorkloadRegistry::global().get(spec.workload);
-      WorkloadEnv env(phy_cache_);
+      // Nested pools follow the PHY build pin: one thread inside run_all
+      // workers and on serial_phy_builds engines.
+      WorkloadEnv env(phy_cache_, /*seed=*/0,
+                      phy_cache_.build_threads() == 1 ? 1
+                                                      : resolve_threads(0));
       result.table = runner.run(spec, env);
       result.notes = std::move(env.notes());
     }
@@ -60,37 +64,22 @@ std::vector<RunResult> SimEngine::run_all(
   if (specs.empty()) return results;
   const std::size_t workers =
       std::min(resolve_threads(threads), specs.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      results[i] = run(specs[i]);
-      if (on_result) on_result(i, results[i]);
-    }
-    return results;
-  }
-  // Scenario-level parallelism is already saturating the machine:
-  // curve builds triggered inside workers must stay serial or each
-  // cache miss would spawn a nested PhyAbstraction thread pool.
-  const std::size_t build_threads_before = phy_cache_.build_threads();
-  phy_cache_.set_build_threads(1);
-  // Work stealing via a shared atomic cursor: idle workers pull the
-  // next pending scenario, so long scenarios never leave threads idle.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    while (true) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= specs.size()) break;
-      results[i] = run(specs[i]);
-      if (on_result) on_result(i, results[i]);
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (std::size_t t = 0; t + 1 < workers; ++t) pool.emplace_back(worker);
-  worker();
-  for (auto& thread : pool) thread.join();
-  // Restore the caller's setting (a serial_phy_builds engine stays
-  // pinned; otherwise later single-scenario runs parallelize again).
-  phy_cache_.set_build_threads(build_threads_before);
+  // Scenario-level parallelism is already saturating the machine, so
+  // the scenarios run with every nested pool pinned to one thread: PHY
+  // curve builds on a cache miss, and the threads() each runner sees.
+  // The guard restores the caller's setting (a serial_phy_builds engine
+  // stays pinned; otherwise later single-scenario runs parallelize
+  // again), also when an on_result callback throws.
+  struct BuildThreadsPin {
+    PhyCurveCache& cache;
+    std::size_t before = cache.build_threads();
+    ~BuildThreadsPin() { cache.set_build_threads(before); }
+  } pin{phy_cache_};
+  if (workers > 1) phy_cache_.set_build_threads(1);
+  parallel_for(specs.size(), workers, [&](std::size_t i) {
+    results[i] = run(specs[i]);
+    if (on_result) on_result(i, results[i]);
+  });
   return results;
 }
 

@@ -4,6 +4,13 @@
 
 #include "wi/sim/workloads/ldpc_latency.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <string>
+
+#include "wi/common/parallel.hpp"
 #include "wi/fec/ber.hpp"
 #include "wi/sim/spec_codec.hpp"
 #include "wi/sim/workload.hpp"
@@ -94,12 +101,25 @@ class LdpcLatencyRunner final : public WorkloadRunner {
       return {StatusCode::kInvalidSpec,
               spec.name + ": ldpc needs at least one CC curve or BC point"};
     }
+    if (l.max_bp_iterations >
+        static_cast<std::size_t>(std::numeric_limits<int>::max())) {
+      return {StatusCode::kInvalidSpec,
+              spec.name + ": max_bp_iterations must fit in an int"};
+    }
+    // The window decoder reads the mcc blocks before its target, so a
+    // window holds at least mcc + 1 blocks; one of more than L blocks
+    // would be the full code under a wrong latency.
+    const std::size_t min_window =
+        fec::EdgeSpreading::paper_example().mcc() + 1;
     for (const auto& curve : l.cc_curves) {
-      if (curve.lifting < 1 || curve.window_lo < 1 ||
-          curve.window_hi < curve.window_lo) {
+      if (curve.lifting < 1 || curve.window_lo < min_window ||
+          curve.window_hi < curve.window_lo ||
+          curve.window_hi > l.termination) {
         return {StatusCode::kInvalidSpec,
-                spec.name + ": ldpc cc_curves need lifting/window_lo >= 1 "
-                            "and window_hi >= window_lo"};
+                spec.name + ": ldpc cc_curves need lifting >= 1 and mcc + 1 "
+                            "= " +
+                    std::to_string(min_window) +
+                    " <= window_lo <= window_hi <= termination"};
       }
     }
     for (const std::size_t lifting : l.bc_liftings) {
@@ -117,54 +137,82 @@ class LdpcLatencyRunner final : public WorkloadRunner {
 
   Table run(const ScenarioSpec& spec, WorkloadEnv& env) const override {
     using namespace wi::fec;
-    Table table(headers());
     const LdpcLatencySpec& l = spec.payload<LdpcLatencySpec>();
     BpOptions bp;
-    bp.max_iterations = l.max_bp_iterations;
-    for (const LdpcCurveSpec& curve : l.cc_curves) {
-      const std::size_t n = curve.lifting;
-      const LdpcConvolutionalCode code(EdgeSpreading::paper_example(), n,
-                                       l.termination, /*seed=*/n);
-      for (std::size_t w = curve.window_lo; w <= curve.window_hi; ++w) {
-        const auto simulate = [&](double ebn0) {
-          BerConfig config;
-          config.ebn0_db = ebn0;
-          config.min_errors = l.min_errors;
-          config.max_codewords = l.max_codewords;
-          config.seed = 1000 + n + w;
-          config.bp = bp;
-          return simulate_ber_window(code, w, config);
+    bp.max_iterations = static_cast<int>(l.max_bp_iterations);
+    const auto required_ebn0 =
+        [&](const std::function<BerResult(const BerConfig&)>& simulate,
+            std::uint64_t seed) {
+          return required_ebn0_db(
+              [&](double ebn0) {
+                BerConfig config;
+                config.ebn0_db = ebn0;
+                config.min_errors = l.min_errors;
+                config.max_codewords = l.max_codewords;
+                config.seed = seed;
+                config.bp = bp;
+                return simulate(config);
+              },
+              l.target_ber, l.search_lo_db, l.search_hi_db,
+              l.search_step_db);
         };
-        const double ebn0 =
-            required_ebn0_db(simulate, l.target_ber, l.search_lo_db,
-                             l.search_hi_db, l.search_step_db);
-        table.add_row(
-            {"LDPC-CC", Table::num(static_cast<long long>(n)),
-             Table::num(static_cast<long long>(w)),
-             Table::num(window_decoder_latency_bits(w, n, code.nv(),
-                                                    code.rate_asymptotic()),
-                        0),
-             Table::num(ebn0, 2)});
+
+    // One task per table row: every row builds its own code and seeds
+    // its own Monte-Carlo, so rows run on any thread in any order and
+    // the table is identical at every thread count. `cost`, proportional
+    // to the bits BP decodes per codeword, estimates a row's run time.
+    struct Task {
+      std::size_t cost;
+      std::function<std::vector<std::string>()> row;
+    };
+    std::vector<Task> tasks;
+    for (const LdpcCurveSpec& curve : l.cc_curves) {
+      for (std::size_t w = curve.window_lo; w <= curve.window_hi; ++w) {
+        const std::size_t n = curve.lifting;
+        tasks.push_back({l.termination * w * n, [&, n, w] {
+          const LdpcConvolutionalCode code(EdgeSpreading::paper_example(), n,
+                                           l.termination, /*seed=*/n);
+          const double ebn0 = required_ebn0(
+              [&](const BerConfig& c) {
+                return simulate_ber_window(code, w, c);
+              },
+              1000 + n + w);
+          return std::vector<std::string>{
+              "LDPC-CC", Table::num(static_cast<long long>(n)),
+              Table::num(static_cast<long long>(w)),
+              Table::num(window_decoder_latency_bits(w, n, code.nv(),
+                                                     code.rate_asymptotic()),
+                         0),
+              Table::num(ebn0, 2)};
+        }});
       }
     }
     for (const std::size_t n : l.bc_liftings) {
-      const QcLdpcBlockCode code(BaseMatrix({{4, 4}}), n, /*seed=*/n);
-      const auto simulate = [&](double ebn0) {
-        BerConfig config;
-        config.ebn0_db = ebn0;
-        config.min_errors = l.min_errors;
-        config.max_codewords = l.max_codewords;
-        config.seed = 2000 + n;
-        config.bp = bp;
-        return simulate_ber_block(code, config);
-      };
-      const double ebn0 =
-          required_ebn0_db(simulate, l.target_ber, l.search_lo_db,
-                           l.search_hi_db, l.search_step_db);
-      table.add_row({"LDPC-BC", Table::num(static_cast<long long>(n)), "-",
-                     Table::num(block_code_latency_bits(n, 2, 0.5), 0),
-                     Table::num(ebn0, 2)});
+      tasks.push_back({n, [&, n] {
+        const QcLdpcBlockCode code(BaseMatrix({{4, 4}}), n, /*seed=*/n);
+        const double ebn0 = required_ebn0(
+            [&](const BerConfig& c) { return simulate_ber_block(code, c); },
+            2000 + n);
+        return std::vector<std::string>{
+            "LDPC-BC", Table::num(static_cast<long long>(n)), "-",
+            Table::num(block_code_latency_bits(n, 2, 0.5), 0),
+            Table::num(ebn0, 2)};
+      }});
     }
+    // Costliest rows first, so no long row starts when the pool is
+    // nearly drained; the table keeps spec order.
+    std::vector<std::size_t> order(tasks.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return tasks[a].cost > tasks[b].cost;
+                     });
+    std::vector<std::vector<std::string>> rows(tasks.size());
+    parallel_for(order.size(), env.threads(), [&](std::size_t k) {
+      rows[order[k]] = tasks[order[k]].row();
+    });
+    Table table(headers());
+    for (auto& row : rows) table.add_row(std::move(row));
     env.note("target BER " + Table::num(l.target_ber, 6) + ", min_errors " +
              Table::num(static_cast<long long>(l.min_errors)) +
              ", max_codewords " +

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "wi/common/rng.hpp"
 #include "wi/fec/ldpc_code.hpp"
+#include "wi/fec/window_decoder.hpp"
 
 namespace wi::fec {
 namespace {
@@ -127,6 +130,76 @@ TEST(BpDecoder, MinSumScaleAffectsMagnitudesOnly) {
   const BpResult b = decoder.decode({3.0, 3.0, 3.0, 3.0}, scaled);
   EXPECT_EQ(a.hard, b.hard);
   EXPECT_GT(a.llr_out[0], b.llr_out[0]);
+}
+
+TEST(BpDecoder, ReusedResultMatchesFreshDecode) {
+  // The buffer-reusing overload decodes a small graph after a large one
+  // (and back) with the same result as a fresh decode.
+  const QcLdpcBlockCode big(BaseMatrix({{4, 4}}), 100, 7);
+  const BpDecoder big_decoder(big.parity_check());
+  const BpDecoder small_decoder(tiny_h());
+  Rng rng(5);
+  std::vector<double> big_llr(big.block_length());
+  for (auto& v : big_llr) v = 3.0 * (1.0 + 0.8 * rng.gaussian());
+  const std::vector<double> small_llr = {-0.5, 6.0, 6.0, 6.0};
+  const std::vector<std::uint8_t> parity = {1, 0};
+  BpResult reused;
+  for (int round = 0; round < 2; ++round) {
+    big_decoder.decode(big_llr, BpOptions{}, nullptr, reused);
+    const BpResult fresh_big = big_decoder.decode(big_llr);
+    EXPECT_EQ(reused.hard, fresh_big.hard);
+    EXPECT_EQ(reused.llr_out, fresh_big.llr_out);
+    EXPECT_EQ(reused.iterations, fresh_big.iterations);
+    small_decoder.decode(small_llr, BpOptions{}, &parity, reused);
+    const BpResult fresh_small =
+        small_decoder.decode(small_llr, BpOptions{}, &parity);
+    EXPECT_EQ(reused.hard, fresh_small.hard);
+    EXPECT_EQ(reused.llr_out, fresh_small.llr_out);
+    EXPECT_EQ(reused.converged, fresh_small.converged);
+  }
+}
+
+TEST(BpDecoder, ConcurrentDecodesMatchSerial) {
+  // decode() is const with per-thread scratch: threads sharing one
+  // block decoder and one window decoder get the serial answers.
+  const QcLdpcBlockCode block(BaseMatrix({{4, 4}}), 60, 3);
+  const BpDecoder block_decoder(block.parity_check());
+  const LdpcConvolutionalCode cc(EdgeSpreading::paper_example(), 25, 6, 25);
+  const WindowDecoder window_decoder(cc, 3);
+  constexpr int kFrames = 8;
+  Rng rng(77);
+  std::vector<std::vector<double>> block_llr(kFrames);
+  std::vector<std::vector<double>> cc_llr(kFrames);
+  for (int f = 0; f < kFrames; ++f) {
+    block_llr[f].resize(block.block_length());
+    for (auto& v : block_llr[f]) v = 2.5 * (1.0 + 0.9 * rng.gaussian());
+    cc_llr[f].resize(cc.codeword_length());
+    for (auto& v : cc_llr[f]) v = 2.5 * (1.0 + 0.9 * rng.gaussian());
+  }
+  std::vector<BpResult> block_want(kFrames);
+  std::vector<WindowDecodeResult> cc_want(kFrames);
+  for (int f = 0; f < kFrames; ++f) {
+    block_want[f] = block_decoder.decode(block_llr[f]);
+    cc_want[f] = window_decoder.decode(cc_llr[f]);
+  }
+  std::vector<BpResult> block_got(kFrames);
+  std::vector<WindowDecodeResult> cc_got(kFrames);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int f = t; f < kFrames; f += 4) {
+        block_got[f] = block_decoder.decode(block_llr[f]);
+        cc_got[f] = window_decoder.decode(cc_llr[f]);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (int f = 0; f < kFrames; ++f) {
+    EXPECT_EQ(block_got[f].llr_out, block_want[f].llr_out) << "frame " << f;
+    EXPECT_EQ(block_got[f].iterations, block_want[f].iterations);
+    EXPECT_EQ(cc_got[f].hard, cc_want[f].hard) << "frame " << f;
+    EXPECT_EQ(cc_got[f].bp_iterations, cc_want[f].bp_iterations);
+  }
 }
 
 }  // namespace

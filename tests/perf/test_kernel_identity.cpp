@@ -14,6 +14,9 @@
 #include "baseline_kernels.hpp"
 #include "wi/comm/filter_design.hpp"
 #include "wi/comm/info_rate.hpp"
+#include "wi/common/rng.hpp"
+#include "wi/fec/bp_decoder.hpp"
+#include "wi/fec/ldpc_code.hpp"
 #include "wi/noc/flit_sim.hpp"
 
 namespace {
@@ -110,6 +113,83 @@ TEST(KernelIdentity, FlitSimulator) {
                                             config),
         c.name);
   }
+}
+
+/// Noisy BPSK LLRs of a random word at noise level `sigma`, with about
+/// one in `zero_every` LLRs set to exactly 0 (a check that sees one
+/// takes the saturated leave-one-out path).
+std::vector<double> noisy_llr(const std::vector<std::uint8_t>& word,
+                              double sigma, std::size_t zero_every,
+                              wi::Rng& rng) {
+  std::vector<double> llr(word.size());
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    const double x = word[i] ? -1.0 : 1.0;
+    llr[i] = 2.0 / (sigma * sigma) * (x + sigma * rng.gaussian());
+    if (zero_every != 0 && rng.uniform_int(zero_every) == 0) llr[i] = 0.0;
+  }
+  return llr;
+}
+
+TEST(KernelIdentity, BpDecoder) {
+  const wi::fec::QcLdpcBlockCode block(wi::fec::BaseMatrix({{4, 4}}), 100,
+                                       7);
+  const wi::fec::LdpcConvolutionalCode cc(
+      wi::fec::EdgeSpreading::paper_example(), 25, 8, 25);
+  wi::fec::BpOptions sum_product;
+  wi::fec::BpOptions min_sum;
+  min_sum.min_sum = true;
+  wi::fec::BpOptions no_early_stop;
+  no_early_stop.early_stop = false;
+  no_early_stop.max_iterations = 7;
+  wi::fec::BpOptions tight_clip;
+  tight_clip.llr_clip = 4.0;
+  const wi::fec::BpOptions options[] = {sum_product, min_sum, no_early_stop,
+                                        tight_clip};
+
+  wi::Rng rng(2024);
+  // One result reused across both graphs and every frame: the buffer
+  // path must not leak state from a previous (larger or smaller) decode.
+  wi::fec::BpResult reused;
+  std::size_t decodes = 0;
+  for (const wi::fec::SparseBinaryMatrix* h :
+       {&block.parity_check(), &cc.parity_check()}) {
+    const wi::fec::BpDecoder decoder(*h);
+    const wi::perf_baseline::BpDecoder baseline(*h);
+    for (const double sigma : {0.6, 0.8, 1.0}) {
+      for (const std::size_t zero_every : {0, 10, 1}) {  // 1 = all zero
+        std::vector<std::uint8_t> word(h->cols());
+        for (auto& bit : word) bit = rng.bernoulli(0.5) ? 1 : 0;
+        const std::vector<double> llr = noisy_llr(word, sigma, zero_every, rng);
+        // Targets of the random word (a window decoder's frozen blocks)
+        // and unrelated random targets (BP cannot satisfy them).
+        const std::vector<std::uint8_t> word_parity = h->syndrome(word);
+        std::vector<std::uint8_t> random_parity(h->rows());
+        for (auto& bit : random_parity) bit = rng.bernoulli(0.5) ? 1 : 0;
+        using Parity = const std::vector<std::uint8_t>*;
+        for (const Parity parity :
+             {Parity{nullptr}, Parity{&word_parity}, Parity{&random_parity}}) {
+          for (const wi::fec::BpOptions& o : options) {
+            const wi::fec::BpResult want = baseline.decode(llr, o, parity);
+            const wi::fec::BpResult got = decoder.decode(llr, o, parity);
+            decoder.decode(llr, o, parity, reused);
+            const std::string label =
+                "sigma " + std::to_string(sigma) + ", zero_every " +
+                std::to_string(zero_every) + ", min_sum " +
+                std::to_string(o.min_sum) + ", parity " +
+                std::to_string(parity != nullptr);
+            for (const wi::fec::BpResult& r : {got, reused}) {
+              EXPECT_EQ(r.hard, want.hard) << label;
+              EXPECT_EQ(r.llr_out, want.llr_out) << label;  // bitwise
+              EXPECT_EQ(r.iterations, want.iterations) << label;
+              EXPECT_EQ(r.converged, want.converged) << label;
+            }
+            ++decodes;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(decodes, 2u * 3u * 3u * 3u * 4u);
 }
 
 }  // namespace

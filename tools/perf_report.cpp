@@ -15,6 +15,7 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -26,7 +27,10 @@
 #include "baseline_kernels.hpp"
 #include "wi/comm/filter_design.hpp"
 #include "wi/comm/info_rate.hpp"
+#include "wi/common/rng.hpp"
 #include "wi/core/phy_abstraction.hpp"
+#include "wi/fec/bp_decoder.hpp"
+#include "wi/fec/ldpc_code.hpp"
 #include "wi/noc/flit_sim.hpp"
 #include "wi/noc/mesh_grid.hpp"
 #include "wi/noc/queueing_model.hpp"
@@ -378,6 +382,58 @@ int main(int argc, char** argv) {
                          queueing_dense, 0.0, ""});
     (void)sink;
     (void)dsink;
+  }
+
+  // --- BP decoding (Fig. 10 LDPC-CC, sum-product, parity targets on) ---
+  // Random words x with parity targets H x: the window decoder's frozen
+  // blocks reach the checks the same way. One op decodes 16 noisy
+  // frames at 4 dB, the Fig. 10 operating range (KernelIdentity.BpDecoder
+  // pins the two decoders' outputs to each other).
+  {
+    const wi::fec::LdpcConvolutionalCode code(
+        wi::fec::EdgeSpreading::paper_example(), 40, 24, /*seed=*/40);
+    const wi::fec::SparseBinaryMatrix& h = code.parity_check();
+    const std::size_t n = h.cols();
+    const double sigma = std::sqrt(1.0 / (2.0 * 0.5 * std::pow(10.0, 0.4)));
+    wi::Rng rng(11);
+    struct Frame {
+      std::vector<double> llr;
+      std::vector<std::uint8_t> parity;
+    };
+    std::vector<Frame> frames(16);
+    for (Frame& f : frames) {
+      std::vector<std::uint8_t> word(n);
+      for (auto& bit : word) bit = rng.bernoulli(0.5) ? 1 : 0;
+      f.parity = h.syndrome(word);
+      f.llr.resize(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = word[i] ? -1.0 : 1.0;
+        f.llr[i] = 2.0 / (sigma * sigma) * (x + sigma * rng.gaussian());
+      }
+    }
+    const wi::perf_baseline::BpDecoder baseline(h);
+    const wi::fec::BpDecoder decoder(h);
+    volatile int sink = 0;
+    const double base = time_ns(
+        [&] {
+          for (const Frame& f : frames) {
+            sink = baseline.decode(f.llr, {}, &f.parity).iterations;
+          }
+        },
+        reps_slow);
+    wi::fec::BpResult out;
+    const double opt = time_ns(
+        [&] {
+          for (const Frame& f : frames) {
+            decoder.decode(f.llr, {}, &f.parity, out);
+            sink = out.iterations;
+          }
+        },
+        reps_slow);
+    const double bits = static_cast<double>(frames.size() * n);
+    push_entry(entries, {"ldpc_decode/cc_n40_l24_sum_product_parity", opt,
+                         base, bits / opt * 1e3, "Mbit/s"});
+    (void)sink;
   }
 
   // --- end-to-end SimEngine scenario (Fig. 8a queueing-model table) ---
