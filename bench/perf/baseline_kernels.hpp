@@ -4,8 +4,8 @@
 ///        simulation kernels (and their symbolwise/entropy siblings),
 ///        each frozen as of the PR that optimized it.
 ///
-/// They exist for two reasons: the bench/perf suite and tools/perf_report
-/// measure the optimized kernels against them in the same process (so
+/// They exist for two reasons: tools/perf_report measures the
+/// optimized kernels against them in the same process (so
 /// reported speedups are immune to machine drift), and
 /// tests/perf/test_kernel_identity.cpp asserts the optimized kernels
 /// produce bit-identical outputs at fixed seeds. Do not "fix" or speed

@@ -1,31 +1,33 @@
 #pragma once
 /// \file flit_sim.hpp
-/// \brief Cycle-based flit-level NoC simulator.
+/// \brief Flit-level NoC simulator (discrete-event).
 ///
 /// Independent cross-check of the analytic queueing model: input-queued
 /// routers, round-robin output arbitration, deterministic routing,
 /// Poisson packet injection per module. One flit moves per output
 /// channel per cycle (per-channel bandwidth b moves up to b flits);
-/// router traversal adds a fixed pipeline delay.
+/// router traversal adds a fixed pipeline delay of
+/// FlitSimConfig::router_delay_cycles (>= 1) cycles.
 ///
-/// Engineered for throughput: preallocated ring-buffer FIFOs, hoisted
-/// per-output bandwidth budgets, and an up-front
-/// (router, dst_router) -> (link, output port) table replacing lazy
-/// routing calls. Results are deterministic per seed and bit-identical
-/// to the original deque-based implementation. Routing failures
-/// (unreachable pairs, inconsistent next hops) are recorded during
-/// table construction and thrown once as wi::StatusError the first time
-/// a flit actually needs the failed route.
+/// One event-wheel core runs every simulation: a router is only
+/// visited on cycles where it has work, and idle stretches are skipped
+/// wholesale (see docs/ARCHITECTURE.md). With `partitions`/`threads`
+/// it shards the mesh across worker threads. Results are deterministic
+/// per seed and bit-identical at any thread or partition count.
+/// Routing failures (unreachable pairs, inconsistent next hops) are
+/// recorded while the route tables are built and thrown once as
+/// wi::StatusError the first time a flit actually needs the failed
+/// route.
 ///
 /// Fault injection: the six-argument overload takes a
 /// wi::fault::FaultSchedule of link/router failures. When an event
 /// activates, the dead entity's buffered flits are destroyed and the
-/// next-hop table is recomputed over the surviving graph (deterministic
+/// routes are recomputed over the surviving graph (deterministic
 /// reverse BFS, minimal hops, lowest link index first), so traffic
 /// reroutes around the failure. Destinations cut off from a source
 /// surface as wi::Status rows in FlitSimResult::route_failures — flits
 /// bound for them are dropped and counted, never thrown. An empty
-/// schedule takes the exact legacy code path bit for bit.
+/// schedule gives the same result as the five-argument overload.
 
 #include <cstdint>
 #include <vector>
@@ -38,24 +40,15 @@
 
 namespace wi::noc {
 
-/// Simulator core selection. kAuto picks the event-driven core whenever
-/// the router delay is >= 1 cycle (the event wheel needs a nonzero
-/// pipeline depth to bound wake horizons) and the cycle-stepped legacy
-/// loop otherwise. Both cores are bit-identical; kLegacy exists as the
-/// differential-testing oracle and the zero-delay fallback.
-enum class FlitSimCore {
-  kAuto,
-  kLegacy,  ///< original cycle-stepped loop (visits every router)
-  kEvent,   ///< event-wheel + SoA core (requires router delay >= 1)
-};
-
-/// Simulator settings.
+/// Simulator settings. simulate_network throws std::invalid_argument
+/// unless router_delay_cycles >= 1, the mesh has < 2^26 routers,
+/// warmup + measure + drain + delay < 2^37 and buffer_depth < 2^16.
 struct FlitSimConfig {
   std::size_t warmup_cycles = 3000;    ///< excluded from statistics
   std::size_t measure_cycles = 20000;  ///< measurement window
   std::size_t drain_cycles = 20000;    ///< post-window drain limit
   std::size_t buffer_depth = 8;        ///< input queue capacity [flits]
-  double router_delay_cycles = 2.0;    ///< pipeline depth
+  std::size_t router_delay_cycles = 2;  ///< pipeline depth [cycles]
   std::uint64_t seed = 1;
   /// Worker threads for the partitioned-parallel event core (0 = one
   /// per hardware thread). Results are bit-identical at any value.
@@ -63,7 +56,6 @@ struct FlitSimConfig {
   /// Mesh partitions (contiguous router ranges) for the parallel mode;
   /// 0 derives the count from `threads`. 1 partition = sequential core.
   std::size_t partitions = 0;
-  FlitSimCore core = FlitSimCore::kAuto;
 };
 
 /// Aggregated results.
@@ -88,9 +80,9 @@ struct FlitSimResult {
   /// fault_sweep workload surfaces instead of a throw.
   std::vector<Status> route_failures;
   /// Diagnostics (not part of any golden): router turns the core
-  /// actually executed. The event core only turns routers with pending
-  /// work, so this is 0 for a zero-traffic run and far below
-  /// routers * cycles at low load; the legacy core leaves it 0.
+  /// actually executed. Only routers with pending work are turned, so
+  /// this is 0 for a zero-traffic run and far below routers * cycles
+  /// at low load.
   std::uint64_t turns_executed = 0;
 };
 

@@ -25,6 +25,7 @@
 
 #include "wi/core/link_planner.hpp"
 #include "wi/core/phy_abstraction.hpp"
+#include "wi/noc/flit_sim.hpp"
 #include "wi/noc/queueing_model.hpp"
 #include "wi/noc/routing.hpp"
 #include "wi/noc/topology.hpp"
@@ -143,6 +144,29 @@ struct NocSpec {
 
   /// Materialise the routing algorithm.
   [[nodiscard]] std::unique_ptr<noc::Routing> build_routing() const;
+
+  /// What one flit-DES run takes from its workload rather than from
+  /// this section.
+  struct DesRun {
+    std::size_t warmup_cycles = 0;
+    std::size_t measure_cycles = 0;
+    std::size_t drain_cycles = 0;
+    std::size_t buffer_depth = 0;
+    std::uint64_t seed = 0;
+  };
+
+  /// The DES limits, checked before any DES run: the router delay of
+  /// `model` must be an integer >= 1, measure_cycles >= 1, buffer_depth
+  /// in [1, 2^16), warmup + measure + drain + delay < 2^37 and the
+  /// topology below 2^26 routers. kInvalidSpec names the first broken
+  /// one; messages are prefixed with `scenario_name`.
+  [[nodiscard]] Status validate_des(const std::string& scenario_name,
+                                    const DesRun& run) const;
+
+  /// The simulator config of `run`, with the router delay of `model`,
+  /// so the DES and the analytic model describe the same router. Only
+  /// for a `run` that validate_des() accepted.
+  [[nodiscard]] noc::FlitSimConfig des_config(const DesRun& run) const;
 };
 
 /// The declarative scenario: shared system sections plus the selected

@@ -164,6 +164,55 @@ std::unique_ptr<noc::Routing> NocSpec::build_routing() const {
   return std::make_unique<noc::DimensionOrderRouting>();
 }
 
+Status NocSpec::validate_des(const std::string& scenario_name,
+                            const DesRun& run) const {
+  // Compared as doubles: no cast of an out-of-range delay, no size_t
+  // wrap-around in the sums and products below.
+  const double delay = model.router_delay_cycles;
+  if (!(delay >= 1.0) || delay != std::floor(delay)) {
+    return invalid(scenario_name +
+                   ": the flit DES needs an integer router_delay_cycles "
+                   ">= 1");
+  }
+  if (run.measure_cycles < 1) {
+    return invalid(scenario_name + ": DES measure_cycles must be >= 1");
+  }
+  if (run.buffer_depth < 1 || run.buffer_depth >= (std::size_t{1} << 16)) {
+    return invalid(scenario_name + ": DES buffer_depth must be in [1, 2^16)");
+  }
+  const double cycles = static_cast<double>(run.warmup_cycles) +
+                        static_cast<double>(run.measure_cycles) +
+                        static_cast<double>(run.drain_cycles) + delay;
+  if (cycles >= 0x1p37) {
+    return invalid(scenario_name +
+                   ": DES warmup + measure + drain + router delay must be "
+                   "< 2^37 cycles");
+  }
+  const auto& t = topology;
+  const bool planar = t.kind == TopologySpec::Kind::kMesh2d ||
+                      t.kind == TopologySpec::Kind::kStarMesh ||
+                      t.kind == TopologySpec::Kind::kStarMeshIrl;
+  const double routers = static_cast<double>(t.kx) *
+                         static_cast<double>(t.ky) *
+                         (planar ? 1.0 : static_cast<double>(t.kz));
+  if (routers >= 0x1p26) {
+    return invalid(scenario_name + ": the flit DES needs < 2^26 routers");
+  }
+  return Status::ok();
+}
+
+noc::FlitSimConfig NocSpec::des_config(const DesRun& run) const {
+  noc::FlitSimConfig config;
+  config.warmup_cycles = run.warmup_cycles;
+  config.measure_cycles = run.measure_cycles;
+  config.drain_cycles = run.drain_cycles;
+  config.buffer_depth = run.buffer_depth;
+  config.router_delay_cycles =
+      static_cast<std::size_t>(model.router_delay_cycles);
+  config.seed = run.seed;
+  return config;
+}
+
 Status ScenarioSpec::validate() const {
   if (name.empty()) return invalid("scenario name must not be empty");
   if (geometry.boards < 1) return invalid(name + ": boards must be >= 1");

@@ -19,6 +19,11 @@
 namespace wi::sim {
 namespace {
 
+NocSpec::DesRun des_run(const FaultSweepSpec& s) {
+  return {s.warmup_cycles, s.measure_cycles, s.drain_cycles, s.buffer_depth,
+          s.seed};
+}
+
 class FaultSweepRunner final : public WorkloadRunner {
  public:
   std::string name() const override { return "fault_sweep"; }
@@ -87,14 +92,8 @@ class FaultSweepRunner final : public WorkloadRunner {
       return {StatusCode::kInvalidSpec,
               spec.name + ": fault_sweep injection_rate must be in [0, 1)"};
     }
-    if (s.measure_cycles < 1) {
-      return {StatusCode::kInvalidSpec,
-              spec.name + ": fault_sweep measure_cycles must be >= 1"};
-    }
-    if (s.buffer_depth < 1) {
-      return {StatusCode::kInvalidSpec,
-              spec.name + ": fault_sweep buffer_depth must be >= 1"};
-    }
+    const Status des = spec.noc.validate_des(spec.name, des_run(s));
+    if (!des.is_ok()) return des;
     return s.fault.validate(spec.name);
   }
 
@@ -114,12 +113,7 @@ class FaultSweepRunner final : public WorkloadRunner {
     const auto routing = spec.noc.build_routing();
     const noc::TrafficPattern traffic =
         spec.noc.build_traffic(topology.module_count());
-    noc::FlitSimConfig config;
-    config.warmup_cycles = s.warmup_cycles;
-    config.measure_cycles = s.measure_cycles;
-    config.drain_cycles = s.drain_cycles;
-    config.buffer_depth = s.buffer_depth;
-    config.seed = s.seed;
+    const noc::FlitSimConfig config = spec.noc.des_config(des_run(s));
     // Faults strike while traffic flows; the drain tail only empties
     // queues, so the activation horizon is warmup + measure.
     const std::uint64_t horizon =

@@ -11,6 +11,11 @@
 namespace wi::sim {
 namespace {
 
+NocSpec::DesRun des_run(const FlitSimSpec& flit) {
+  return {flit.warmup_cycles, flit.measure_cycles, flit.drain_cycles,
+          flit.buffer_depth, flit.seed};
+}
+
 class FlitSimRunner final : public WorkloadRunner {
  public:
   std::string name() const override { return "flit_sim"; }
@@ -56,14 +61,8 @@ class FlitSimRunner final : public WorkloadRunner {
     const Status noc = spec.noc.validate(spec.name);
     if (!noc.is_ok()) return noc;
     const auto& flit = spec.payload<FlitSimSpec>();
-    if (flit.measure_cycles < 1) {
-      return {StatusCode::kInvalidSpec,
-              spec.name + ": flit measure_cycles must be >= 1"};
-    }
-    if (flit.buffer_depth < 1) {
-      return {StatusCode::kInvalidSpec,
-              spec.name + ": flit buffer_depth must be >= 1"};
-    }
+    const Status des = spec.noc.validate_des(spec.name, des_run(flit));
+    if (!des.is_ok()) return des;
     for (const double rate : flit.injection_rates) {
       if (rate < 0.0) {
         return {StatusCode::kInvalidSpec,
@@ -84,12 +83,7 @@ class FlitSimRunner final : public WorkloadRunner {
     const auto routing = spec.noc.build_routing();
     const noc::TrafficPattern traffic =
         spec.noc.build_traffic(topology.module_count());
-    noc::FlitSimConfig config;
-    config.warmup_cycles = flit.warmup_cycles;
-    config.measure_cycles = flit.measure_cycles;
-    config.drain_cycles = flit.drain_cycles;
-    config.buffer_depth = flit.buffer_depth;
-    config.seed = flit.seed;
+    const noc::FlitSimConfig config = spec.noc.des_config(des_run(flit));
     std::vector<double> rates = flit.injection_rates;
     if (rates.empty()) rates = {0.05, 0.1, 0.15, 0.2};
     for (const double rate : rates) {

@@ -13,6 +13,12 @@
 namespace wi::sim {
 namespace {
 
+/// The DES cross-check's own settings; the router delay comes from the
+/// analytic model it is checked against.
+NocSpec::DesRun des_check_run(const NocSpec& noc) {
+  return {2000, 8000, 20000, 8, noc.des_seed};
+}
+
 class NocLatencyRunner final : public WorkloadRunner {
  public:
   std::string name() const override { return "noc_latency"; }
@@ -24,7 +30,10 @@ class NocLatencyRunner final : public WorkloadRunner {
   }
 
   Status validate(const ScenarioSpec& spec) const override {
-    return spec.noc.validate(spec.name);
+    const Status noc = spec.noc.validate(spec.name);
+    // Analytic-only runs keep accepting fractional router delays.
+    if (!noc.is_ok() || !(spec.noc.des_check_rate > 0.0)) return noc;
+    return spec.noc.validate_des(spec.name, des_check_run(spec.noc));
   }
 
   void apply_seed(ScenarioSpec& spec, std::uint64_t seed) const override {
@@ -61,12 +70,9 @@ class NocLatencyRunner final : public WorkloadRunner {
                         1) +
              " per router)");
     if (spec.noc.des_check_rate > 0.0) {
-      noc::FlitSimConfig sim;
-      sim.warmup_cycles = 2000;
-      sim.measure_cycles = 8000;
-      sim.seed = spec.noc.des_seed;
-      const auto des = simulate_network(topology, *routing, traffic,
-                                        spec.noc.des_check_rate, sim);
+      const auto des = simulate_network(
+          topology, *routing, traffic, spec.noc.des_check_rate,
+          spec.noc.des_config(des_check_run(spec.noc)));
       env.note("DES cross-check @ " + Table::num(spec.noc.des_check_rate, 2) +
                ": " + Table::num(des.mean_latency_cycles, 2) +
                " cycles vs analytic " +

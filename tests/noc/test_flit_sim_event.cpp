@@ -4,8 +4,8 @@
 ///        activations landing on partition window boundaries.
 ///
 /// The golden tests pin the event core against the committed result
-/// files; this file pins it against the legacy cycle-stepped oracle
-/// (FlitSimCore::kLegacy) under configurations chosen to stress the
+/// files; this file pins it against the cycle-stepped oracle
+/// (flit_sim_oracle.hpp) under configurations chosen to stress the
 /// event-specific machinery: the calendar wheel, the shard staircase,
 /// and the fault barriers.
 
@@ -14,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <stdexcept>
 
+#include "flit_sim_oracle.hpp"
 #include "wi/common/fault.hpp"
 
 namespace wi::noc {
@@ -49,14 +51,13 @@ void expect_identical(const FlitSimResult& a, const FlitSimResult& b) {
 TEST(FlitSimEvent, ZeroTrafficTerminatesWithoutTurningARouter) {
   const Topology t = Topology::mesh_2d(4, 4);
   const DimensionOrderRouting routing;
-  FlitSimConfig config = base_config();
-  config.core = FlitSimCore::kEvent;
+  const FlitSimConfig config = base_config();
   const auto result = simulate_network(t, routing,
                                        TrafficPattern::uniform(16), 0.0,
                                        config);
   // No injections -> nothing is ever scheduled on the wheel, so the
-  // run completes without executing a single router turn. The legacy
-  // core would have visited 16 routers x 6500 cycles.
+  // run completes without executing a single router turn. The oracle
+  // would have visited 16 routers x 6500 cycles.
   EXPECT_EQ(result.turns_executed, 0u);
   EXPECT_EQ(result.injected, 0u);
   EXPECT_EQ(result.delivered, 0u);
@@ -66,8 +67,7 @@ TEST(FlitSimEvent, ZeroTrafficTerminatesWithoutTurningARouter) {
 TEST(FlitSimEvent, TurnsExecutedStaysFarBelowCycleSteppedWork) {
   const Topology t = Topology::mesh_2d(8, 8);
   const DimensionOrderRouting routing;
-  FlitSimConfig config = base_config();
-  config.core = FlitSimCore::kEvent;
+  const FlitSimConfig config = base_config();
   const auto result = simulate_network(t, routing,
                                        TrafficPattern::uniform(64), 0.01,
                                        config);
@@ -80,19 +80,16 @@ TEST(FlitSimEvent, TurnsExecutedStaysFarBelowCycleSteppedWork) {
   EXPECT_LT(result.turns_executed, cycle_stepped / 2);
 }
 
-TEST(FlitSimEvent, SingleRouterMeshMatchesLegacy) {
+TEST(FlitSimEvent, SingleRouterMeshMatchesOracle) {
   // One router carrying four modules, zero links: every flit ejects
   // where it is injected. Exercises the eject-at-source path and the
   // empty ring arrays.
   const Topology t = Topology::star_mesh(1, 1, 4);
   const DimensionOrderRouting routing;
   const TrafficPattern traffic = TrafficPattern::uniform(4);
-  FlitSimConfig legacy = base_config();
-  legacy.core = FlitSimCore::kLegacy;
-  FlitSimConfig event = base_config();
-  event.core = FlitSimCore::kEvent;
-  const auto a = simulate_network(t, routing, traffic, 0.4, legacy);
-  const auto b = simulate_network(t, routing, traffic, 0.4, event);
+  const FlitSimConfig config = base_config();
+  const auto a = oracle::simulate_network(t, routing, traffic, 0.4, config);
+  const auto b = simulate_network(t, routing, traffic, 0.4, config);
   expect_identical(a, b);
   EXPECT_GT(b.delivered, 0u);
 }
@@ -103,18 +100,17 @@ TEST(FlitSimEvent, PartitionCountSweepIsBitIdentical) {
   const Topology t = Topology::mesh_2d(5, 3);
   const DimensionOrderRouting routing;
   const TrafficPattern traffic = TrafficPattern::uniform(15);
-  FlitSimConfig legacy = base_config();
-  legacy.core = FlitSimCore::kLegacy;
-  legacy.seed = 7;
-  const auto oracle = simulate_network(t, routing, traffic, 0.25, legacy);
+  FlitSimConfig config = base_config();
+  config.seed = 7;
+  const auto expected =
+      oracle::simulate_network(t, routing, traffic, 0.25, config);
   for (const std::size_t parts : {1u, 2u, 4u, 8u}) {
-    FlitSimConfig event = legacy;
-    event.core = FlitSimCore::kEvent;
+    FlitSimConfig event = config;
     event.partitions = parts;
     event.threads = parts > 1 ? 4 : 1;
     SCOPED_TRACE(testing::Message() << "partitions=" << parts);
     const auto got = simulate_network(t, routing, traffic, 0.25, event);
-    expect_identical(oracle, got);
+    expect_identical(expected, got);
   }
 }
 
@@ -123,15 +119,13 @@ TEST(FlitSimEvent, FaultOnPartitionWindowBoundaryIsBitIdentical) {
   // `router_delay_cycles`; fault activations act as global barriers.
   // Place activations exactly on window multiples (and one off-by-one
   // neighbour) to pin the barrier handshake, and compare against the
-  // sequential legacy oracle.
+  // sequential cycle-stepped oracle.
   const Topology t = Topology::mesh_2d(5, 3);
   const DimensionOrderRouting routing;
   const TrafficPattern traffic = TrafficPattern::uniform(15);
-  FlitSimConfig legacy = base_config();
-  legacy.core = FlitSimCore::kLegacy;
-  legacy.seed = 11;
-  const std::uint64_t delay =
-      static_cast<std::uint64_t>(legacy.router_delay_cycles);
+  FlitSimConfig config = base_config();
+  config.seed = 11;
+  const std::uint64_t delay = config.router_delay_cycles;
   ASSERT_GE(delay, 1u);
   fault::FaultSchedule faults;
   // Window-aligned link death, window-aligned router death, and a
@@ -141,35 +135,34 @@ TEST(FlitSimEvent, FaultOnPartitionWindowBoundaryIsBitIdentical) {
       {fault::FaultEvent::Kind::kRouter, 7, delay * 700});
   faults.events.push_back(
       {fault::FaultEvent::Kind::kLink, 9, delay * 900 + 1});
-  const auto oracle =
-      simulate_network(t, routing, traffic, 0.25, legacy, faults);
+  const auto expected =
+      oracle::simulate_network(t, routing, traffic, 0.25, config, faults);
   for (const std::size_t parts : {2u, 4u, 8u}) {
-    FlitSimConfig event = legacy;
-    event.core = FlitSimCore::kEvent;
+    FlitSimConfig event = config;
     event.partitions = parts;
     event.threads = 4;
     SCOPED_TRACE(testing::Message() << "partitions=" << parts);
     const auto got =
         simulate_network(t, routing, traffic, 0.25, event, faults);
-    expect_identical(oracle, got);
+    expect_identical(expected, got);
   }
-  EXPECT_GT(oracle.dead_links, 0u);
-  EXPECT_GT(oracle.dead_routers, 0u);
+  EXPECT_GT(expected.dead_links, 0u);
+  EXPECT_GT(expected.dead_routers, 0u);
 }
 
-TEST(FlitSimEvent, AutoFallsBackToLegacyBelowUnitDelay) {
-  // kAuto must not hand a sub-cycle pipeline to the event wheel.
+TEST(FlitSimEvent, RejectsZeroRouterDelay) {
+  // The wheel bounds wake horizons by the pipeline delay: a zero delay
+  // would allow same-cycle wakes, so both overloads refuse it up front.
   const Topology t = Topology::mesh_2d(4, 4);
   const DimensionOrderRouting routing;
+  const TrafficPattern traffic = TrafficPattern::uniform(16);
   FlitSimConfig config = base_config();
-  config.router_delay_cycles = 0.0;
-  config.core = FlitSimCore::kAuto;
-  const auto result = simulate_network(t, routing,
-                                       TrafficPattern::uniform(16), 0.1,
-                                       config);
-  EXPECT_GT(result.delivered, 0u);
-  // The legacy core leaves the event-core diagnostic at zero.
-  EXPECT_EQ(result.turns_executed, 0u);
+  config.router_delay_cycles = 0;
+  EXPECT_THROW((void)simulate_network(t, routing, traffic, 0.1, config),
+               std::invalid_argument);
+  EXPECT_THROW((void)simulate_network(t, routing, traffic, 0.1, config,
+                                      fault::FaultSchedule{}),
+               std::invalid_argument);
 }
 
 }  // namespace

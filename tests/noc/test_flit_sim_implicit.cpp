@@ -1,7 +1,8 @@
 /// \file test_flit_sim_implicit.cpp
-/// \brief Implicit traffic patterns and computed mesh routing inside the
-///        DES cores: dense-vs-implicit differentials, computed-vs-dense
-///        next-hop equivalence, and thread/partition bit-identity on an
+/// \brief Implicit traffic patterns and computed mesh routing in the
+///        DES: dense-vs-implicit differentials (event core and
+///        cycle-stepped oracle), computed-vs-dense next-hop
+///        equivalence, and thread/partition bit-identity on an
 ///        analytic-pattern mesh.
 ///
 /// The permutation patterns (transpose, bit-complement, tornado) sample
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <cstddef>
 
+#include "flit_sim_oracle.hpp"
 #include "wi/noc/routing.hpp"
 
 namespace wi::noc {
@@ -40,6 +42,18 @@ void expect_identical(const FlitSimResult& a, const FlitSimResult& b) {
   EXPECT_EQ(a.dropped, b.dropped);
   EXPECT_EQ(a.unreachable, b.unreachable);
 }
+
+/// The event core and the oracle, for tests that run both.
+using SimulateFn = FlitSimResult (*)(const Topology&, const Routing&,
+                                     const TrafficPattern&, double,
+                                     const FlitSimConfig&,
+                                     const fault::FaultSchedule&);
+struct Core {
+  const char* name;
+  SimulateFn simulate;
+};
+const Core kCores[] = {{"oracle", &oracle::simulate_network},
+                       {"event", &simulate_network}};
 
 /// Delegates to dimension-order routing but is not a
 /// DimensionOrderRouting, so the event core's grid-mode detection
@@ -67,14 +81,11 @@ TEST(FlitSimImplicit, TransposeDenseVsImplicitBitIdentical) {
   const DimensionOrderRouting routing;
   const TrafficPattern dense = TrafficPattern::transpose(16);
   const TrafficPattern implicit = TrafficPattern::implicit_transpose(16);
-  for (const FlitSimCore core : {FlitSimCore::kLegacy, FlitSimCore::kEvent}) {
-    FlitSimConfig config = base_config();
-    config.core = core;
-    SCOPED_TRACE(testing::Message()
-                 << "core=" << (core == FlitSimCore::kLegacy ? "legacy"
-                                                            : "event"));
-    const auto a = simulate_network(t, routing, dense, 0.1, config);
-    const auto b = simulate_network(t, routing, implicit, 0.1, config);
+  for (const Core& core : kCores) {
+    const FlitSimConfig config = base_config();
+    SCOPED_TRACE(testing::Message() << "core=" << core.name);
+    const auto a = core.simulate(t, routing, dense, 0.1, config, {});
+    const auto b = core.simulate(t, routing, implicit, 0.1, config, {});
     expect_identical(a, b);
     EXPECT_GT(a.delivered, 0u);
   }
@@ -86,23 +97,20 @@ TEST(FlitSimImplicit, TornadoDenseVsImplicitBitIdentical) {
   const TrafficPattern dense = TrafficPattern::tornado(15, 5, 3, 1);
   const TrafficPattern implicit =
       TrafficPattern::implicit_tornado(15, 5, 3, 1);
-  for (const FlitSimCore core : {FlitSimCore::kLegacy, FlitSimCore::kEvent}) {
-    FlitSimConfig config = base_config();
-    config.core = core;
-    SCOPED_TRACE(testing::Message()
-                 << "core=" << (core == FlitSimCore::kLegacy ? "legacy"
-                                                            : "event"));
-    const auto a = simulate_network(t, routing, dense, 0.1, config);
-    const auto b = simulate_network(t, routing, implicit, 0.1, config);
+  for (const Core& core : kCores) {
+    const FlitSimConfig config = base_config();
+    SCOPED_TRACE(testing::Message() << "core=" << core.name);
+    const auto a = core.simulate(t, routing, dense, 0.1, config, {});
+    const auto b = core.simulate(t, routing, implicit, 0.1, config, {});
     expect_identical(a, b);
     EXPECT_GT(a.delivered, 0u);
   }
 }
 
-TEST(FlitSimImplicit, LegacyAndEventCoresAgreeOnImplicitPatterns) {
-  // The cores share the injection stream contract (one Bernoulli raw
-  // plus one sampler draw per hit), so implicit patterns must be
-  // bit-identical across cores, exactly like dense ones.
+TEST(FlitSimImplicit, OracleAndEventCoreAgreeOnImplicitPatterns) {
+  // Both share the injection stream contract (one Bernoulli raw plus
+  // one sampler draw per hit), so implicit patterns must be
+  // bit-identical across them, exactly like dense ones.
   const Topology t = Topology::mesh_2d(4, 4);
   const DimensionOrderRouting routing;
   const TrafficPattern patterns[] = {
@@ -110,15 +118,12 @@ TEST(FlitSimImplicit, LegacyAndEventCoresAgreeOnImplicitPatterns) {
       TrafficPattern::implicit_transpose(16),
       TrafficPattern::implicit_hotspot(16, 5, 0.3),
   };
+  const FlitSimConfig config = base_config();
   for (const TrafficPattern& traffic : patterns) {
-    FlitSimConfig legacy = base_config();
-    legacy.core = FlitSimCore::kLegacy;
-    FlitSimConfig event = base_config();
-    event.core = FlitSimCore::kEvent;
     SCOPED_TRACE(testing::Message()
                  << "kind=" << static_cast<int>(traffic.kind()));
-    const auto a = simulate_network(t, routing, traffic, 0.15, legacy);
-    const auto b = simulate_network(t, routing, traffic, 0.15, event);
+    const auto a = oracle::simulate_network(t, routing, traffic, 0.15, config);
+    const auto b = simulate_network(t, routing, traffic, 0.15, config);
     expect_identical(a, b);
     EXPECT_GT(a.delivered, 0u);
   }
@@ -132,7 +137,6 @@ TEST(FlitSimImplicit, UniformDenseVsImplicitStatisticalAgreement) {
   const DimensionOrderRouting routing;
   FlitSimConfig config = base_config();
   config.measure_cycles = 6000;
-  config.core = FlitSimCore::kEvent;
   const auto a = simulate_network(t, routing, TrafficPattern::uniform(64),
                                   0.05, config);
   const auto b = simulate_network(
@@ -160,7 +164,6 @@ TEST(FlitSimImplicit, ComputedNextHopMatchesDenseTable) {
     const TrafficPattern traffic =
         TrafficPattern::implicit_uniform(t.module_count());
     FlitSimConfig config = base_config();
-    config.core = FlitSimCore::kEvent;
     config.seed = 5;
     SCOPED_TRACE(testing::Message() << "routers=" << t.router_count());
     const auto grid = simulate_network(t, dor, traffic, 0.3, config);
@@ -171,17 +174,17 @@ TEST(FlitSimImplicit, ComputedNextHopMatchesDenseTable) {
 }
 
 TEST(FlitSimImplicit, ThreadAndPartitionSweepIsBitIdentical) {
-  // Implicit hotspot pattern on an asymmetric mesh: the partitioned
-  // staircase and the single-shard run must agree bit for bit, at 1
-  // and 4 worker threads, partitions 1/2/4/8.
+  // Implicit hotspot pattern on an asymmetric mesh: every partitioned
+  // staircase run must match the cycle-stepped oracle bit for bit, at
+  // 1 and 4 worker threads, partitions 1/2/4/8.
   const Topology t = Topology::mesh_2d(5, 3);
   const DimensionOrderRouting routing;
   const TrafficPattern traffic =
       TrafficPattern::implicit_hotspot(15, 7, 0.25);
   FlitSimConfig base = base_config();
-  base.core = FlitSimCore::kEvent;
   base.seed = 9;
-  const auto oracle = simulate_network(t, routing, traffic, 0.25, base);
+  const auto expected =
+      oracle::simulate_network(t, routing, traffic, 0.25, base);
   for (const std::size_t parts : {1u, 2u, 4u, 8u}) {
     for (const std::size_t threads : {1u, 4u}) {
       FlitSimConfig config = base;
@@ -190,10 +193,10 @@ TEST(FlitSimImplicit, ThreadAndPartitionSweepIsBitIdentical) {
       SCOPED_TRACE(testing::Message()
                    << "partitions=" << parts << " threads=" << threads);
       const auto got = simulate_network(t, routing, traffic, 0.25, config);
-      expect_identical(oracle, got);
+      expect_identical(expected, got);
     }
   }
-  EXPECT_GT(oracle.delivered, 0u);
+  EXPECT_GT(expected.delivered, 0u);
 }
 
 TEST(FlitSimImplicit, HotspotImplicitConcentratesTrafficAtHotModule) {
@@ -202,8 +205,7 @@ TEST(FlitSimImplicit, HotspotImplicitConcentratesTrafficAtHotModule) {
   // the uniform run at the same injection rate.
   const Topology t = Topology::mesh_2d(8, 8);
   const DimensionOrderRouting routing;
-  FlitSimConfig config = base_config();
-  config.core = FlitSimCore::kEvent;
+  const FlitSimConfig config = base_config();
   const auto uniform = simulate_network(
       t, routing, TrafficPattern::implicit_uniform(64), 0.05, config);
   const auto hotspot = simulate_network(
