@@ -22,8 +22,9 @@ CodingPlanner CodingPlanner::paper_table() {
   // at its worked example: CC reaches 3 dB at T_WD = 200, the BC at
   // T_B = 400). Our own Monte-Carlo reproduction confirms the ordering
   // and the W/N trends but sits ~1.5 dB higher in absolute terms due
-  // to short termination and QC-circulant liftings — see
-  // bench/fig10_ldpc_latency, tools/fig10_keypoint and EXPERIMENTS.md.
+  // to short termination and QC-circulant liftings — see the
+  // fig10_ldpc_latency scenario and its BER 1e-5 variants
+  // results/specs/fig10_ldpc_latency_full.json and fig10_keypoint.json.
   std::vector<CodingPoint> points;
   const auto add_cc = [&](std::size_t n, std::size_t w, double ebn0) {
     points.push_back({n, w, static_cast<double>(n * w), ebn0, false});

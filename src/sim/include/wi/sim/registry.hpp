@@ -3,11 +3,12 @@
 /// \brief Named scenario registry: every paper figure and ablation as a
 ///        ready-to-run ScenarioSpec.
 ///
-/// The registry is the lookup half of the declarative API: benches,
-/// tools and tests fetch specs by name ("fig04_tx_power",
+/// The registry is the lookup half of the declarative API: wi_run,
+/// wi_serve and tests fetch specs by name ("fig04_tx_power",
 /// "ablation_vertical_links", ...) instead of hand-wiring model stacks.
 /// Sweeps start from a registered base spec plus SweepAxis overrides
-/// (see expand_grid / SimEngine::run_sweep).
+/// (see expand_grid / SimEngine::run_sweep); the paper's ablation
+/// sweeps are registered grid points named "base/axis=value".
 
 #include <string>
 #include <vector>
@@ -29,6 +30,13 @@ class ScenarioRegistry {
   /// (the message lists the available scenarios).
   [[nodiscard]] const ScenarioSpec& get(const std::string& name) const;
 
+  /// Names starting with \p prefix, in registration order: a full name
+  /// selects itself plus the grid points registered under it
+  /// ("ablation_vertical_links/period=1", ...), "fig08a" selects the
+  /// whole figure. Empty for an empty or unmatched prefix.
+  [[nodiscard]] std::vector<std::string> select(
+      const std::string& prefix) const;
+
   /// Registered names in registration order.
   [[nodiscard]] std::vector<std::string> names() const;
 
@@ -37,7 +45,8 @@ class ScenarioRegistry {
   /// The preloaded paper registry — every paper artifact: Table I,
   /// Figs. 1-6, 8(a)/8(b) and 10 (BER scan + coding plan), the
   /// quickstart link, the link plan, and the star-mesh / vertical-link
-  /// / hybrid-system / ADC-energy / threshold-saturation ablations.
+  /// / hybrid-system / ADC-energy / threshold-saturation ablations
+  /// with their sweep grid points.
   [[nodiscard]] static const ScenarioRegistry& paper();
 
  private:

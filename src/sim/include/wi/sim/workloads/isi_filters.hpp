@@ -17,7 +17,8 @@ struct IsiSpec : PayloadBase<IsiSpec> {
   /// Re-run the Nelder-Mead optimisation instead of using the
   /// pre-optimised paper filters (minutes instead of milliseconds).
   bool reoptimize = false;
-  /// Optimiser budget overrides for reoptimize runs (tools/tune_*);
+  /// Optimiser budget overrides for reoptimize runs
+  /// (results/specs/tune_*.json);
   /// 0 keeps the library default.
   std::size_t opt_max_evals = 0;
   std::size_t opt_restarts = 0;

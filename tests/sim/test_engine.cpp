@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "wi/sim/registry.hpp"
 #include "wi/sim/workloads/hybrid_system.hpp"
@@ -19,10 +20,49 @@ TEST(Registry, PaperScenariosAreComplete) {
         "fig08a_star_mesh_4x4c4", "fig08a_mesh3d_4x4x4",
         "fig08b_mesh2d_32x16", "fig08b_mesh3d_8x8x8",
         "ablation_star_mesh_irl", "ablation_vertical_links",
-        "ablation_hybrid_system", "fig10_coding_plan"}) {
+        "ablation_hybrid_system", "fig10_coding_plan",
+        "fig08b_ref_mesh2d_8x8", "fig08b_ref_mesh3d_4x4x4",
+        "ablation_star_mesh_irl/irl=1", "ablation_star_mesh_irl/irl=4",
+        "ablation_vertical_links/period=4",
+        "ablation_vertical_links/tech=TSV",
+        "ablation_vertical_links/tech=inductive",
+        "ablation_vertical_links/tech=capacitive",
+        "ablation_hybrid_system/inter_frac=0.1",
+        "ablation_hybrid_system/inter_frac=0.7",
+        "ablation_hybrid_system/equipped_frac=0.25",
+        "ablation_hybrid_system/equipped_frac=1"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_TRUE(registry.get(name).validate().is_ok()) << name;
   }
+  // The 512-module references keep their Fig. 8(a) topology but share
+  // the Fig. 8(b) injection grid; only the 2D one may run the DES.
+  const ScenarioSpec& ref3d = registry.get("fig08b_ref_mesh3d_4x4x4");
+  EXPECT_EQ(ref3d.noc.topology.kz, 4u);
+  EXPECT_EQ(ref3d.noc.injection_rates,
+            registry.get("fig08b_mesh3d_8x8x8").noc.injection_rates);
+  EXPECT_EQ(ref3d.noc.des_check_rate, 0.0);
+}
+
+TEST(Registry, SelectsByPrefixInRegistryOrder) {
+  const auto& registry = ScenarioRegistry::paper();
+  EXPECT_EQ(registry.select("fig01_pathloss"),
+            std::vector<std::string>{"fig01_pathloss"});
+  EXPECT_EQ(registry.select("fig08a"),
+            (std::vector<std::string>{"fig08a_mesh2d_8x8",
+                                      "fig08a_star_mesh_4x4c4",
+                                      "fig08a_mesh3d_4x4x4"}));
+  EXPECT_EQ(registry.select("ablation_vertical_links"),
+            (std::vector<std::string>{
+                "ablation_vertical_links",
+                "ablation_vertical_links/period=1",
+                "ablation_vertical_links/period=2",
+                "ablation_vertical_links/period=3",
+                "ablation_vertical_links/period=4",
+                "ablation_vertical_links/tech=TSV",
+                "ablation_vertical_links/tech=inductive",
+                "ablation_vertical_links/tech=capacitive"}));
+  EXPECT_TRUE(registry.select("no_such_scenario").empty());
+  EXPECT_TRUE(registry.select("").empty());
 }
 
 TEST(Registry, UnknownNameThrowsWithListing) {

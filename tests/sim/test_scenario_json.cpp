@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "wi/sim/registry.hpp"
 #include "wi/sim/workloads/ldpc_latency.hpp"
 #include "wi/sim/workloads/nics_stack.hpp"
@@ -21,6 +25,33 @@ TEST(ScenarioJson, RoundTripsEveryRegistryScenario) {
     EXPECT_EQ(scenario_to_string(decoded), canonical) << name;
     EXPECT_TRUE(decoded.validate().is_ok()) << name;
   }
+}
+
+// The heavy manual variants in results/specs/ run only on demand, so
+// this is what catches a codec change that would break them.
+TEST(ScenarioJson, CommittedSpecFilesDecodeAndValidate) {
+  const std::filesystem::path dir =
+      std::filesystem::path(WI_SOURCE_DIR) / "results" / "specs";
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    ++files;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+      const ScenarioSpec spec = scenario_from_string(text.str());
+      EXPECT_TRUE(spec.validate().is_ok()) << entry.path();
+      // Named after its file and never after a registered scenario,
+      // so `wi_run --out results/golden` cannot overwrite a golden.
+      EXPECT_EQ(spec.name, entry.path().stem().string());
+      EXPECT_TRUE(ScenarioRegistry::paper().select(spec.name).empty())
+          << spec.name;
+    } catch (const StatusError& e) {
+      ADD_FAILURE() << entry.path() << ": " << e.status().to_string();
+    }
+  }
+  EXPECT_EQ(files, 5u);
 }
 
 TEST(ScenarioJson, MissingKeysKeepDefaults) {

@@ -7,9 +7,15 @@
 ///
 ///   wi_run --list                         # registry + workload kinds
 ///   wi_run fig08a_mesh2d_8x8              # run one scenario, print it
+///   wi_run fig08a                         # every scenario named fig08a*
 ///   wi_run --all --out results/current    # regenerate every artifact
 ///   wi_run fig01_pathloss --check results/golden   # tolerance diff
 ///   wi_run --spec my_scenario.json        # run a JSON spec file
+///   wi_run --spec results/specs/fig10_keypoint.json   # heavy variant
+///
+/// A positional name selects every registered scenario whose name
+/// starts with it, in registry order: a full name selects itself plus
+/// its sweep grid points ("ablation_vertical_links/period=1", ...).
 ///
 /// Campaign mode (--seeds N): each selected scenario becomes a
 /// multi-seed Monte-Carlo campaign — N seed replicas derived
@@ -92,6 +98,9 @@ struct CliOptions {
 
 void print_usage(std::ostream& os) {
   os << "usage: wi_run [<scenario>...] [options]\n"
+        "\n"
+        "A <scenario> argument selects every registered scenario whose\n"
+        "name starts with it (e.g. fig08a), in registry order.\n"
         "\n"
         "options:\n"
         "  --list             list scenarios + workload kinds and exit\n"
@@ -463,7 +472,8 @@ int main(int argc, char** argv) {
       }
     }
     for (const auto& name : options.scenarios) {
-      if (!registry.contains(name)) {
+      const std::vector<std::string> selected = registry.select(name);
+      if (selected.empty()) {
         // Unknown names are usage errors (exit 2), kept distinct from
         // run failures / golden drift (exit 1): print the nearest
         // match and the full known-name list.
@@ -478,7 +488,7 @@ int main(int argc, char** argv) {
         for (const auto& known : names) std::cerr << "  " << known << "\n";
         return 2;
       }
-      specs.push_back(registry.get(name));
+      for (const auto& match : selected) specs.push_back(registry.get(match));
     }
     for (const auto& path : options.spec_files) {
       specs.push_back(load_spec_file(path));
@@ -646,6 +656,8 @@ int main(int argc, char** argv) {
       }
     }
 
+    std::cout << "phy curve cache: " << engine.phy_cache().hits()
+              << " hits / " << engine.phy_cache().misses() << " misses\n";
     if (store) {
       std::cout << "result store: " << store->hits() << " hits / "
                 << store->misses() << " misses (version " << WI_GIT_DESCRIBE
