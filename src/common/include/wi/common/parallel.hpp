@@ -1,6 +1,6 @@
 #pragma once
 /// \file parallel.hpp
-/// \brief The one work-stealing pool of the library: run n independent
+/// \brief The one work-sharing pool of the library: run n independent
 ///        tasks over a few threads, deterministically and exception-safe.
 
 #include <cstddef>
@@ -9,10 +9,25 @@
 namespace wi {
 
 /// Calls fn(i) for every i in [0, n) on up to `threads` workers (0 = one
-/// per hardware thread; capped at n). The caller is one of the workers,
-/// and idle workers pull the next index from a shared atomic cursor, so
-/// long tasks never leave threads idle. Each task must only write state
-/// it owns (e.g. slot i of a result vector).
+/// per hardware thread; capped at n). Each task must only write state it
+/// owns (e.g. slot i of a result vector).
+///
+/// The caller is one of the workers; the others are helpers from one
+/// process-wide pool of hardware_concurrency - 1 threads, started by the
+/// first call that needs a second worker. A call with threads <= 1 or
+/// n <= 1 runs inline and never touches the pool. Each call is a batch
+/// with its own atomic cursor, handing out indices in increasing order,
+/// and at most threads - 1 helpers join it; idle helpers take indices
+/// from the newest unfinished batch and otherwise sleep.
+///
+/// Calls nest: a task may call parallel_for itself, and so may a task
+/// running on a helper. The caller claims indices only from its own
+/// batch until none are left, then waits only for indices already
+/// running, so a call always finishes, even when every helper is busy
+/// or blocked, and never adopts an unrelated (possibly long) task. No
+/// call starts a thread beyond the pool, at any nesting depth. Tasks of
+/// one call must not wait for each other: two indices are not
+/// guaranteed to run at the same time.
 ///
 /// If tasks throw, no new index is handed out and, once every worker
 /// has stopped, the exception of the lowest failing index is rethrown on

@@ -26,6 +26,10 @@ struct BerConfig {
   std::size_t max_codewords = 2000;  ///< hard cap on simulated codewords
   std::uint64_t seed = 1;
   BpOptions bp;
+  /// Workers decoding the codewords of a batch (0 or 1 = one codeword at
+  /// a time). The result is the same at every value: see
+  /// simulate_ber_block.
+  std::size_t threads = 1;
 };
 
 /// One measured BER point.
@@ -37,6 +41,13 @@ struct BerResult {
 };
 
 /// BER of a QC-LDPC block code under full BP.
+///
+/// Both simulators draw every codeword's noise from one Rng(seed) in
+/// codeword order, decode a batch of codewords in parallel
+/// (config.threads workers), then fold the batch in codeword order,
+/// testing the min_errors/max_codewords stop rule before each codeword
+/// and discarding the ones past it. So the result equals the serial
+/// loop's field for field at any thread count.
 [[nodiscard]] BerResult simulate_ber_block(const QcLdpcBlockCode& code,
                                            const BerConfig& config);
 

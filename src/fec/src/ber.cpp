@@ -1,7 +1,9 @@
 #include "wi/fec/ber.hpp"
 
+#include <algorithm>
 #include <cmath>
 
+#include "wi/common/parallel.hpp"
 #include "wi/common/rng.hpp"
 
 namespace wi::fec {
@@ -13,30 +15,58 @@ double noise_sigma(double ebn0_db, double rate) {
   return std::sqrt(1.0 / (2.0 * rate * ebn0));
 }
 
-}  // namespace
+/// Codewords in the next batch: one per worker at first, then at most
+/// an eighth of those already done and half of what the error rate so
+/// far predicts up to the min_errors stop, so a burst of errors early in
+/// a batch wastes few decodes (2.7% of all decodes in full Fig. 10).
+/// Never past max_codewords, and one at a time on one worker (the plain
+/// serial loop).
+std::size_t next_batch(const BerResult& done, const BerConfig& config) {
+  const std::size_t left = config.max_codewords - done.codewords;
+  if (config.threads <= 1) return 1;
+  double want = static_cast<double>(done.codewords) / 8.0;
+  if (done.bit_errors > 0) {
+    const double to_stop =
+        static_cast<double>(config.min_errors - done.bit_errors) *
+        static_cast<double>(done.codewords) /
+        static_cast<double>(done.bit_errors);
+    want = std::min(want, std::ceil(to_stop / 2.0));
+  }
+  const double batch =
+      std::max(want, static_cast<double>(config.threads));
+  return batch >= static_cast<double>(left) ? left
+                                            : static_cast<std::size_t>(batch);
+}
 
-BerResult simulate_ber_block(const QcLdpcBlockCode& code,
-                             const BerConfig& config) {
-  const std::size_t n = code.block_length();
-  const double sigma = noise_sigma(config.ebn0_db, code.design_rate());
+/// The Monte-Carlo loop of both code families. `errors_of(llr)` decodes
+/// one received word and returns its bit errors; it runs concurrently.
+template <typename ErrorsOf>
+BerResult simulate_ber(std::size_t n, double sigma, const BerConfig& config,
+                       const ErrorsOf& errors_of) {
   const double llr_scale = 2.0 / (sigma * sigma);
-  const BpDecoder decoder(code.parity_check());
   Rng rng(config.seed);
-
   BerResult result;
-  std::vector<double> llr(n);
-  BpResult bp;
-  while (result.codewords < config.max_codewords &&
-         result.bit_errors < config.min_errors) {
-    for (std::size_t i = 0; i < n; ++i) {
-      llr[i] = llr_scale * (1.0 + sigma * rng.gaussian());
+  const auto stopped = [&] {
+    return result.codewords >= config.max_codewords ||
+           result.bit_errors >= config.min_errors;
+  };
+  std::vector<std::vector<double>> llr;
+  std::vector<std::size_t> errors;
+  while (!stopped()) {
+    const std::size_t batch = next_batch(result, config);
+    llr.resize(batch);
+    for (std::vector<double>& word : llr) {
+      word.resize(n);
+      for (double& x : word) x = llr_scale * (1.0 + sigma * rng.gaussian());
     }
-    decoder.decode(llr, config.bp, nullptr, bp);
-    for (std::size_t i = 0; i < n; ++i) {
-      result.bit_errors += bp.hard[i];
+    errors.assign(batch, 0);
+    parallel_for(batch, config.threads,
+                 [&](std::size_t k) { errors[k] = errors_of(llr[k]); });
+    for (std::size_t k = 0; k < batch && !stopped(); ++k) {
+      result.bit_errors += errors[k];
+      result.bits += n;
+      ++result.codewords;
     }
-    result.bits += n;
-    ++result.codewords;
   }
   result.ber = result.bits == 0 ? 0.0
                                 : static_cast<double>(result.bit_errors) /
@@ -44,32 +74,33 @@ BerResult simulate_ber_block(const QcLdpcBlockCode& code,
   return result;
 }
 
+std::size_t ones(const std::vector<std::uint8_t>& bits) {
+  return static_cast<std::size_t>(std::count(bits.begin(), bits.end(), 1));
+}
+
+}  // namespace
+
+BerResult simulate_ber_block(const QcLdpcBlockCode& code,
+                             const BerConfig& config) {
+  const BpDecoder decoder(code.parity_check());
+  return simulate_ber(
+      code.block_length(), noise_sigma(config.ebn0_db, code.design_rate()),
+      config, [&](const std::vector<double>& llr) {
+        thread_local BpResult bp;
+        decoder.decode(llr, config.bp, nullptr, bp);
+        return ones(bp.hard);
+      });
+}
+
 BerResult simulate_ber_window(const LdpcConvolutionalCode& code,
                               std::size_t window, const BerConfig& config) {
-  const std::size_t n = code.codeword_length();
-  const double sigma = noise_sigma(config.ebn0_db, code.rate_asymptotic());
-  const double llr_scale = 2.0 / (sigma * sigma);
   const WindowDecoder decoder(code, window, config.bp);
-  Rng rng(config.seed);
-
-  BerResult result;
-  std::vector<double> llr(n);
-  while (result.codewords < config.max_codewords &&
-         result.bit_errors < config.min_errors) {
-    for (std::size_t i = 0; i < n; ++i) {
-      llr[i] = llr_scale * (1.0 + sigma * rng.gaussian());
-    }
-    const WindowDecodeResult wd = decoder.decode(llr);
-    for (std::size_t i = 0; i < n; ++i) {
-      result.bit_errors += wd.hard[i];
-    }
-    result.bits += n;
-    ++result.codewords;
-  }
-  result.ber = result.bits == 0 ? 0.0
-                                : static_cast<double>(result.bit_errors) /
-                                      static_cast<double>(result.bits);
-  return result;
+  return simulate_ber(
+      code.codeword_length(),
+      noise_sigma(config.ebn0_db, code.rate_asymptotic()), config,
+      [&](const std::vector<double>& llr) {
+        return ones(decoder.decode(llr).hard);
+      });
 }
 
 double required_ebn0_db(const std::function<BerResult(double)>& simulate,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace wi::fec {
@@ -14,6 +15,7 @@ struct Workspace {
   std::vector<double> v2c;        ///< variable-to-check messages per edge
   std::vector<double> c2v;        ///< check-to-variable messages per edge
   std::vector<double> tanh_half;  ///< tanh(v2c / 2) per edge (sum-product)
+  std::vector<double> tanh_llr;   ///< tanh(llr / 2) per variable (iteration 1)
 };
 
 thread_local Workspace workspace;
@@ -86,6 +88,32 @@ void BpDecoder::decode(std::span<const double> channel_llr,
 
   const double clip = options.llr_clip;
   auto clipped = [clip](double x) { return std::clamp(x, -clip, clip); };
+  // Saturated messages are common: about a fifth of the tanh and atanh
+  // inputs sit on the clip or the clamp at Fig. 10's operating points.
+  // Their results are computed once here by the loop's own expressions,
+  // so the shortcut changes no bit. (A zero clip keeps the general path:
+  // -0.0 == 0.0 would lose the sign of a zero message.)
+  const double sat =
+      clip > 0.0 ? clip : std::numeric_limits<double>::quiet_NaN();
+  const double tanh_sat_hi = std::tanh(0.5 * clip);
+  const double tanh_sat_lo = std::tanh(0.5 * -clip);
+  constexpr double kTanhClamp = 0.9999999999;
+  const double atanh_clamp_hi = clipped(2.0 * std::atanh(kTanhClamp));
+  const double atanh_clamp_lo = clipped(2.0 * std::atanh(-kTanhClamp));
+  auto half_tanh = [&](double clipped_message) {
+    return clipped_message == sat    ? tanh_sat_hi
+           : clipped_message == -sat ? tanh_sat_lo
+                                     : std::tanh(0.5 * clipped_message);
+  };
+  // Iteration 1's messages are the channel LLRs, so their tanh is taken
+  // once per variable rather than once per edge.
+  std::vector<double>& tanh_llr = workspace.tanh_llr;
+  if (!options.min_sum) {
+    tanh_llr.resize(n_vars_);
+    for (std::size_t v = 0; v < n_vars_; ++v) {
+      tanh_llr[v] = half_tanh(clipped(channel_llr[v]));
+    }
+  }
   auto syndrome_matches = [&]() {
     for (std::size_t c = 0; c < n_checks_; ++c) {
       std::uint8_t parity = 0;
@@ -140,7 +168,8 @@ void BpDecoder::decode(std::span<const double> channel_llr,
         double prod = target_sign;
         bool saturated = false;
         for (std::uint32_t e = begin; e < end; ++e) {
-          const double t = std::tanh(0.5 * clipped(v2c[e]));
+          const double t = iter == 1 ? tanh_llr[edge_var_[e]]
+                                     : half_tanh(clipped(v2c[e]));
           tanh_half[e] = t;
           if (std::abs(t) < 1e-12) saturated = true;
           prod *= t;
@@ -158,8 +187,10 @@ void BpDecoder::decode(std::span<const double> channel_llr,
               t_out *= tanh_half[e2];
             }
           }
-          t_out = std::clamp(t_out, -0.9999999999, 0.9999999999);
-          c2v[e] = clipped(2.0 * std::atanh(t_out));
+          t_out = std::clamp(t_out, -kTanhClamp, kTanhClamp);
+          c2v[e] = t_out == kTanhClamp    ? atanh_clamp_hi
+                   : t_out == -kTanhClamp ? atanh_clamp_lo
+                                          : clipped(2.0 * std::atanh(t_out));
         }
       }
     }

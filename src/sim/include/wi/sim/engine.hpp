@@ -40,19 +40,18 @@ struct RunResult {
 
 /// Engine options.
 struct EngineOptions {
-  /// Worker threads for run_all/run_sweep, and for a runner's own pool
-  /// (WorkloadEnv::threads()) when run() is not nested in one of those;
-  /// 0 = hardware concurrency.
+  /// Worker threads for run_all/run_sweep, and for a runner's own
+  /// parallelism (WorkloadEnv::threads()); 0 = hardware concurrency.
+  /// Nested calls share one process-wide pool (wi::parallel_for), so
+  /// `wi_run --all` runs fig10's rows and codeword batches in parallel
+  /// beside the other scenarios without oversubscribing the machine.
   std::size_t threads = 0;
   /// Reuse hook for engines embedded in an external worker pool (the
   /// wi_serve daemon): pin all nested parallelism to one thread, because
-  /// the *callers* are already running run() concurrently and a nested
-  /// pool per scenario would oversubscribe the machine. The pin covers
-  /// PHY curve builds on a cache miss and WorkloadEnv::threads() (e.g.
-  /// the Fig. 10 rows of ldpc_latency). run_all() sets the same pin
-  /// while its workers run more than one scenario at a time (so
-  /// `wi_run --all` runs fig10's rows serially) and restores whatever
-  /// setting it found afterwards.
+  /// the *callers* are already running run() concurrently. The pin
+  /// covers PHY curve builds on a cache miss and WorkloadEnv::threads()
+  /// (e.g. the Fig. 10 rows of ldpc_latency), so such an engine never
+  /// starts the pool.
   bool serial_phy_builds = false;
 };
 

@@ -32,8 +32,8 @@ RunResult SimEngine::run(const ScenarioSpec& spec) {
     if (result.status.is_ok()) {
       const WorkloadRunner& runner =
           WorkloadRegistry::global().get(spec.workload);
-      // Nested pools follow the PHY build pin: one thread inside run_all
-      // workers and on serial_phy_builds engines.
+      // A serial_phy_builds engine keeps a runner's own pool to one
+      // thread too; everywhere else nested calls share the one pool.
       WorkloadEnv env(phy_cache_, /*seed=*/0,
                       phy_cache_.build_threads() == 1 ? 1
                                                       : resolve_threads(0));
@@ -64,18 +64,9 @@ std::vector<RunResult> SimEngine::run_all(
   if (specs.empty()) return results;
   const std::size_t workers =
       std::min(resolve_threads(threads), specs.size());
-  // Scenario-level parallelism is already saturating the machine, so
-  // the scenarios run with every nested pool pinned to one thread: PHY
-  // curve builds on a cache miss, and the threads() each runner sees.
-  // The guard restores the caller's setting (a serial_phy_builds engine
-  // stays pinned; otherwise later single-scenario runs parallelize
-  // again), also when an on_result callback throws.
-  struct BuildThreadsPin {
-    PhyCurveCache& cache;
-    std::size_t before = cache.build_threads();
-    ~BuildThreadsPin() { cache.set_build_threads(before); }
-  } pin{phy_cache_};
-  if (workers > 1) phy_cache_.set_build_threads(1);
+  // Nested parallelism (PHY curve builds on a cache miss, a runner's
+  // own rows and batches) joins the same pool, so it fills the workers
+  // that scenario-level tasks leave idle without oversubscribing.
   parallel_for(specs.size(), workers, [&](std::size_t i) {
     results[i] = run(specs[i]);
     if (on_result) on_result(i, results[i]);

@@ -151,6 +151,7 @@ class LdpcLatencyRunner final : public WorkloadRunner {
                 config.max_codewords = l.max_codewords;
                 config.seed = seed;
                 config.bp = bp;
+                config.threads = env.threads();
                 return simulate(config);
               },
               l.target_ber, l.search_lo_db, l.search_hi_db,
@@ -159,8 +160,11 @@ class LdpcLatencyRunner final : public WorkloadRunner {
 
     // One task per table row: every row builds its own code and seeds
     // its own Monte-Carlo, so rows run on any thread in any order and
-    // the table is identical at every thread count. `cost`, proportional
-    // to the bits BP decodes per codeword, estimates a row's run time.
+    // the table is identical at every thread count. Inside a row, each
+    // BER point decodes its codewords in batches on the same pool, so
+    // the last, longest rows still use every worker. `cost`,
+    // proportional to the bits BP decodes per codeword, estimates a
+    // row's run time.
     struct Task {
       std::size_t cost;
       std::function<std::vector<std::string>()> row;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 namespace wi::fec {
 namespace {
@@ -94,6 +95,65 @@ TEST(BerWindow, WindowSizeImprovesBer) {
     return simulate_ber_window(code, w, config).ber;
   };
   EXPECT_GT(ber_at(3), ber_at(8) * 0.999);
+}
+
+// The batched Monte-Carlo against the serial loop (threads = 1), field
+// for field. Each case names its stop: min_errors reached after 5 or 7
+// codewords, which is inside a batch at every thread count tried (the
+// first batches hold one codeword per worker); min_errors after ~110
+// codewords, after batches have grown past the thread count; and the
+// max_codewords cap, which trims the last batch.
+struct BatchCase {
+  double ebn0_db;
+  std::size_t min_errors;
+  std::size_t max_codewords;
+};
+
+void expect_same_at_every_thread_count(
+    const std::function<BerResult(const BerConfig&)>& simulate,
+    const BatchCase& c, bool expect_min_errors_stop) {
+  BerConfig config;
+  config.ebn0_db = c.ebn0_db;
+  config.min_errors = c.min_errors;
+  config.max_codewords = c.max_codewords;
+  config.seed = 5;
+  const BerResult serial = simulate(config);
+  if (expect_min_errors_stop) {
+    EXPECT_GE(serial.bit_errors, c.min_errors);
+    EXPECT_LT(serial.codewords, c.max_codewords);
+  } else {
+    EXPECT_LT(serial.bit_errors, c.min_errors);
+    EXPECT_EQ(serial.codewords, c.max_codewords);
+  }
+  for (const std::size_t threads : {2, 3, 4, 8}) {
+    config.threads = threads;
+    const BerResult batched = simulate(config);
+    EXPECT_EQ(batched.codewords, serial.codewords) << "threads " << threads;
+    EXPECT_EQ(batched.bits, serial.bits) << "threads " << threads;
+    EXPECT_EQ(batched.bit_errors, serial.bit_errors) << "threads " << threads;
+    EXPECT_EQ(batched.ber, serial.ber) << "threads " << threads;
+  }
+}
+
+TEST(BerBatches, BlockCodeEqualsTheSerialLoop) {
+  const QcLdpcBlockCode code(BaseMatrix({{4, 4}}), 50, 3);
+  const auto simulate = [&](const BerConfig& config) {
+    return simulate_ber_block(code, config);
+  };
+  expect_same_at_every_thread_count(simulate, {1.5, 20, 400}, true);
+  expect_same_at_every_thread_count(simulate, {3.0, 60, 400}, true);
+  expect_same_at_every_thread_count(simulate, {3.0, 1000, 21}, false);
+}
+
+TEST(BerBatches, WindowDecodingEqualsTheSerialLoop) {
+  const LdpcConvolutionalCode code(EdgeSpreading::paper_example(), 20, 8,
+                                   5);
+  const auto simulate = [&](const BerConfig& config) {
+    return simulate_ber_window(code, 4, config);
+  };
+  expect_same_at_every_thread_count(simulate, {1.0, 20, 400}, true);
+  expect_same_at_every_thread_count(simulate, {3.0, 60, 400}, true);
+  expect_same_at_every_thread_count(simulate, {3.0, 1000, 21}, false);
 }
 
 TEST(RequiredEbn0, FindsThresholdOfSyntheticCurve) {

@@ -1,7 +1,8 @@
 /// \file test_ldpc_latency.cpp
-/// \brief The "ldpc_latency" workload (Fig. 10): its rows run on the
-///        runner's own pool, so tables must not depend on where or how
-///        many threads ran them; hostile specs must fail with a Status.
+/// \brief The "ldpc_latency" workload (Fig. 10): its rows and their
+///        codeword batches run on the shared pool, so tables must not
+///        depend on where or how many threads ran them; hostile specs
+///        must fail with a Status.
 
 #include <gtest/gtest.h>
 
@@ -58,7 +59,7 @@ TEST(LdpcLatency, TablesIdenticalAtEveryThreadCountInSpecOrder) {
   EXPECT_EQ(got.table, want.table);
   EXPECT_EQ(got.notes, want.notes);
 
-  // Nested in run_all's pool the rows run serially; same cells.
+  // Nested in run_all's tasks the rows share the same pool; same cells.
   ScenarioSpec other = spec;
   other.name = "fig10_small_bc";
   other.payload<LdpcLatencySpec>().cc_curves.clear();

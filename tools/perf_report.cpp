@@ -29,6 +29,7 @@
 #include "wi/comm/info_rate.hpp"
 #include "wi/common/rng.hpp"
 #include "wi/core/phy_abstraction.hpp"
+#include "wi/fec/ber.hpp"
 #include "wi/fec/bp_decoder.hpp"
 #include "wi/fec/ldpc_code.hpp"
 #include "wi/noc/flit_sim.hpp"
@@ -434,6 +435,37 @@ int main(int argc, char** argv) {
     push_entry(entries, {"ldpc_decode/cc_n40_l24_sum_product_parity", opt,
                          base, bits / opt * 1e3, "Mbit/s"});
     (void)sink;
+  }
+
+  // --- one Fig. 10 BER point: codeword batches on 4 workers ---
+  // The N = 40, W = 3 window row near its required Eb/N0, with Fig. 10's
+  // min_errors and a 96-codeword cap (which ends this point). The
+  // baseline is the same call on one worker (the serial loop) in this
+  // process; both return the same BerResult.
+  {
+    const wi::fec::LdpcConvolutionalCode code(
+        wi::fec::EdgeSpreading::paper_example(), 40, 24, /*seed=*/40);
+    wi::fec::BerConfig config;
+    config.ebn0_db = 4.0;
+    config.min_errors = 80;
+    config.max_codewords = 96;
+    config.seed = 1043;
+    std::size_t codewords = 0;
+    const double serial = time_ns(
+        [&] {
+          config.threads = 1;
+          codewords = wi::fec::simulate_ber_window(code, 3, config).codewords;
+        },
+        reps_slow);
+    const double batched = time_ns(
+        [&] {
+          config.threads = 4;
+          codewords = wi::fec::simulate_ber_window(code, 3, config).codewords;
+        },
+        reps_slow);
+    push_entry(entries, {"ber_point/cc_n40_w3", batched, serial,
+                         static_cast<double>(codewords) / batched * 1e9,
+                         "codewords/s"});
   }
 
   // --- end-to-end SimEngine scenario (Fig. 8a queueing-model table) ---
