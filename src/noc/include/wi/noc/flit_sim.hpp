@@ -28,8 +28,14 @@
 /// surface as wi::Status rows in FlitSimResult::route_failures — flits
 /// bound for them are dropped and counted, never thrown. An empty
 /// schedule gives the same result as the five-argument overload.
+///
+/// Sweeps that replay one traffic stream under several schedules pass
+/// them all at once: the span overload draws the injection stream once
+/// and runs each distinct schedule once. The other two overloads are
+/// that call with one schedule.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "wi/common/fault.hpp"
@@ -104,5 +110,16 @@ struct FlitSimResult {
                                              double injection_rate,
                                              const FlitSimConfig& config,
                                              const fault::FaultSchedule& faults);
+
+/// One traffic stream under several fault schedules: results[i] is
+/// bit-identical to the six-argument overload with `schedules[i]`
+/// (turns_executed included). The injection stream is drawn once for
+/// all of them, and a schedule equal to an earlier one reuses that
+/// result instead of running again.
+[[nodiscard]] std::vector<FlitSimResult> simulate_network(
+    const Topology& topology, const Routing& routing,
+    const TrafficPattern& traffic, double injection_rate,
+    const FlitSimConfig& config,
+    std::span<const fault::FaultSchedule> schedules);
 
 }  // namespace wi::noc

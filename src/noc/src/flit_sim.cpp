@@ -8,16 +8,23 @@
 ///
 /// 1. Bitmap event wheel. A router only does work on a cycle where (a)
 ///    a flit becomes ready in one of its input rings, (b) its injection
-///    stream offers a packet, or (c) it polled itself after being
-///    blocked. All wakes land within (c, c + delay], so a power-of-two
-///    calendar wheel of delay+2 slots holds every pending wake — and
-///    each slot is a router *bitmap*, not a list: scheduling is a
-///    single idempotent OR (no dedup state, no stale-entry filtering),
-///    draining a slot is a countr_zero walk that visits routers in
-///    ascending index order (the oracle's within-cycle order), and a
-///    spuriously-set bit costs one state-no-op turn. Cycles with no due
-///    router, no injection, and no fault event are skipped wholesale —
-///    the drain window after traffic stops costs nothing.
+///    stream offers a packet, or (c) a head it could not move may move
+///    now. For (c), a head whose next ring is full waits for a credit:
+///    the pop that frees a slot in a full ring wakes the ring's
+///    upstream router — this cycle if that router has yet to turn in
+///    ascending order, else the next — and a fault reroute wakes every
+///    router with a due head or offer. Any other blocked head (output
+///    or eject budget spent, or a full ring drained by another shard)
+///    polls at c + 1. All wakes land within [c, c + delay], so a
+///    power-of-two calendar wheel of delay+2 slots holds every pending
+///    wake — and each slot is a router *bitmap*, not a list: scheduling
+///    is a single idempotent OR (no dedup state, no stale-entry
+///    filtering), draining a slot is a countr_zero walk that visits
+///    routers in ascending index order (the oracle's within-cycle
+///    order), and a spuriously-set bit costs one state-no-op turn.
+///    Cycles with no due router, no injection, and no fault event are
+///    skipped wholesale — the drain window after traffic stops costs
+///    nothing, and neither does a deadlocked cycle of full rings.
 ///
 /// 2. Cache-conscious flit records. A flit is one 16-byte record
 ///    (ready cycle; meta = inject cycle | destination router << 37 |
@@ -26,7 +33,8 @@
 ///    injection queue is virtual and uses the same meta format: the
 ///    whole Bernoulli schedule is materialised from the seed in one
 ///    pass (the RNG stream never depends on network state) and consumed
-///    through a cursor; destination sampling accelerates the oracle's
+///    through a cursor (a sweep over several fault schedules draws it
+///    once and shares it); destination sampling accelerates the oracle's
 ///    lower_bound with a guide table whose final comparisons are the
 ///    oracle's bit for bit. The round-robin arbitration pointer
 ///    advances exactly once per router per cycle, so it is derived as
@@ -44,10 +52,13 @@
 ///    (coupled shards provably never run concurrently). Cross-shard
 ///    wakes travel through SPSC mailboxes; idle shards skip ahead up to
 ///    min over coupled neighbours of (their progress + delay), which no
-///    in-flight wake can undercut. Fault cycles are global barriers:
-///    the last shard to arrive applies the kill events and reroute for
-///    everyone. Counters are per-shard and merged in shard order, so
-///    results are bit-identical at any partition and thread count.
+///    in-flight wake can undercut. Credit wakes stay inside a shard: a
+///    head blocked on a ring that another shard drains keeps polling.
+///    Fault cycles are global barriers: the last shard to arrive
+///    applies the kill events and reroute for everyone, and each shard
+///    then wakes its own stalled routers. Counters are per-shard and
+///    merged in shard order, so results are bit-identical at any
+///    partition and thread count.
 
 #include <algorithm>
 #include <atomic>
@@ -55,6 +66,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -188,6 +200,212 @@ struct WakeQueue {
   }
 };
 
+/// Shard count for a config: `partitions`, else `threads`, else one per
+/// hardware thread, clamped to [1, routers].
+size_t shard_count(const FlitSimConfig& config, size_t routers) {
+  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
+  const size_t s = config.partitions != 0 ? config.partitions
+                   : config.threads != 0  ? config.threads
+                                          : hw;
+  return std::max<size_t>(1, std::min(s, std::max<size_t>(routers, 1)));
+}
+
+/// Shard k of S owns the contiguous router range
+/// [k * routers / S, (k + 1) * routers / S).
+u32 shard_begin(size_t k, size_t shards, size_t routers) {
+  return static_cast<u32>(k * routers / shards);
+}
+
+/// Throws std::invalid_argument unless the inputs fit the event core.
+void check_limits(const Topology& topology, const TrafficPattern& traffic,
+                  const FlitSimConfig& config) {
+  if (traffic.modules() != topology.module_count()) {
+    throw std::invalid_argument("simulate_network: traffic mismatch");
+  }
+  const u64 delay = config.router_delay_cycles;
+  const u64 total =
+      config.warmup_cycles + config.measure_cycles + config.drain_cycles;
+  // The wheel bounds wake horizons by the pipeline delay, so a zero
+  // delay would allow same-cycle wakes; the rest are packing limits.
+  if (delay < 1 || topology.router_count() >= (size_t{1} << kDstBits) ||
+      total + delay >= (u64{1} << kCycBits) ||
+      config.buffer_depth >= (size_t{1} << 16)) {
+    throw std::invalid_argument(
+        "simulate_network: config outside the event core's limits (needs "
+        "router_delay_cycles >= 1, routers < 2^26, "
+        "warmup+measure+drain+delay < 2^37, buffer depth < 2^16)");
+  }
+}
+
+/// The injection stream of one (traffic, rate, seed, cycles, shard
+/// layout): read-only, and independent of faults, so every schedule of
+/// a sweep shares one.
+struct InjectionPlan {
+  InjectionPlan(const Topology& topology, const TrafficPattern& traffic,
+                double injection_rate, const FlitSimConfig& config);
+
+  /// Routers some packet may be bound for (the port table's columns).
+  std::vector<bool> dst_used;
+  /// Per-router cycle-major offers (meta words), router r's in
+  /// stream[off[r] .. off[r+1]).
+  std::vector<size_t> off;
+  std::vector<u64> stream;
+  /// Per shard: (cycle << kRouterBits | router) of every cycle a router
+  /// of the shard receives at least one offered packet.
+  std::vector<std::vector<u64>> gw;
+  u64 injected_total = 0;  ///< measured offers
+};
+
+InjectionPlan::InjectionPlan(const Topology& topology,
+                             const TrafficPattern& traffic,
+                             const double injection_rate,
+                             const FlitSimConfig& config) {
+  const size_t modules = topology.module_count();
+  const size_t routers = topology.router_count();
+  const u64 measure_begin = config.warmup_cycles;
+  const u64 measure_end = config.warmup_cycles + config.measure_cycles;
+  const u64 total = measure_end + config.drain_cycles;
+
+  // --- traffic cdf + used destinations (identical to the oracle;
+  // the sampler clamps to the last module, so its router is routable).
+  // Implicit patterns never build the O(modules^2) CDF: destinations
+  // come from the closed-form sampler, and any router may be a target.
+  const bool implicit = traffic.implicit_form();
+  std::vector<double> cdf;
+  dst_used.assign(routers, implicit);
+  if (!implicit) {
+    cdf.resize(modules * modules);
+    for (size_t s = 0; s < modules; ++s) {
+      double acc = 0.0;
+      for (size_t d = 0; d < modules; ++d) {
+        const double p = traffic.probability(s, d);
+        acc += p;
+        cdf[s * modules + d] = acc;
+        if (p > 0.0) dst_used[topology.module_router(d)] = true;
+      }
+    }
+    if (modules > 0) dst_used[topology.module_router(modules - 1)] = true;
+  }
+  std::vector<size_t> module_router(modules);
+  for (size_t d = 0; d < modules; ++d) {
+    module_router[d] = topology.module_router(d);
+  }
+
+  // --- one pass over the oracle's exact RNG draw sequence (bernoulli,
+  // then uniform + lower_bound on a hit) for every (cycle < measure_end,
+  // module) pair. The stream is state-independent, so materialising it
+  // up front cannot change it. Hits append to one flat draw-order
+  // buffer and a stable counting sort by source router produces the
+  // per-router cycle-major streams.
+  off.assign(routers + 1, 0);
+  const u64 inj_end = std::min(measure_end, total);
+  // Guide table: g[m * K + k] = lower_bound(row_m, k / K). The per-hit
+  // search resumes near where lower_bound would land; the guard loops
+  // below re-run the oracle's comparisons (row[d] < u), so the sampled
+  // destination is bit-identical even at bucket-boundary roundoff.
+  // Implicit patterns have no CDF and need no guide.
+  const size_t K = implicit ? 0 : modules;
+  const double Kd = static_cast<double>(K);
+  std::vector<u32> guide(modules * K);
+  for (size_t m = 0; m < modules && !implicit; ++m) {
+    const double* row = &cdf[m * modules];
+    size_t i = 0;
+    for (size_t k = 0; k < K; ++k) {
+      const double lo = static_cast<double>(k) / Kd;
+      while (i < modules && row[i] < lo) ++i;
+      guide[m * K + k] = static_cast<u32>(i);
+    }
+  }
+  // bernoulli(p) draws one generator step x and tests
+  // (x >> 11) * 2^-53 < p; the power-of-two product is exact, so the
+  // test is equivalently (x >> 11) < ceil(p * 2^53) in pure integer
+  // space — the branch no longer waits on an int->double conversion.
+  const u64 thresh =
+      injection_rate <= 0.0
+          ? 0
+          : injection_rate >= 1.0
+                ? (u64{1} << 53)
+                : static_cast<u64>(std::ceil(injection_rate * 0x1.0p53));
+  std::vector<u64> tmp_meta;
+  std::vector<u32> tmp_r;
+  const double est = injection_rate * static_cast<double>(inj_end) *
+                     static_cast<double>(modules);
+  size_t cap_tmp = static_cast<size_t>(est * 1.10) + 4096;
+  tmp_meta.resize(cap_tmp);
+  tmp_r.resize(cap_tmp);
+  u64* tm = tmp_meta.data();
+  u32* tr = tmp_r.data();
+  size_t n = 0;
+  size_t n_at_begin = kNever;
+  Rng rng(config.seed);
+  for (u64 cycle = 0; cycle < inj_end; ++cycle) {
+    if (cycle == measure_begin) n_at_begin = n;
+    const u64 mbit =
+        cycle >= measure_begin && cycle < measure_end ? u64{1} << 63 : 0;
+    if (n + modules > cap_tmp) {
+      cap_tmp = cap_tmp * 2 + modules;
+      tmp_meta.resize(cap_tmp);
+      tmp_r.resize(cap_tmp);
+      tm = tmp_meta.data();
+      tr = tmp_r.data();
+    }
+    for (size_t m = 0; m < modules; ++m) {
+      // The Bernoulli hit test consumes one generator step, exactly
+      // like the oracle loop's rng.bernoulli; on a hit the dense path
+      // draws one uniform for its CDF search and the implicit path
+      // hands the RNG to the pattern's closed-form sampler. Either
+      // way the stream never depends on network state.
+      const u64 x = rng.raw();
+      if ((x >> 11) >= thresh) continue;
+      size_t d;
+      if (implicit) {
+        d = traffic.sample(rng, m);
+      } else {
+        const double u = rng.uniform();
+        const double* row = &cdf[m * modules];
+        size_t k = static_cast<size_t>(u * Kd);
+        if (k >= K) k = K - 1;
+        d = guide[m * K + k];
+        while (d > 0 && row[d - 1] >= u) --d;
+        while (d < modules && row[d] < u) ++d;
+        if (d >= modules) d = modules - 1;
+      }
+      tm[n] = cycle | (static_cast<u64>(module_router[d]) << kCycBits) | mbit;
+      tr[n] = static_cast<u32>(module_router[m]);
+      ++n;
+    }
+  }
+  injected_total = n - (n_at_begin == kNever ? n : n_at_begin);
+  // Histogram + injection-wake streams in one post-pass (draw order is
+  // cycle-major, so consecutive-duplicate dedup matches the inline
+  // form), then a stable counting-sort scatter into per-router
+  // cycle-major streams.
+  const size_t shards = shard_count(config, routers);
+  std::vector<u32> shard_of(routers);
+  for (size_t k = 0; k < shards; ++k) {
+    const u32 end = shard_begin(k + 1, shards, routers);
+    for (u32 r = shard_begin(k, shards, routers); r < end; ++r) {
+      shard_of[r] = static_cast<u32>(k);
+    }
+  }
+  gw.assign(shards, {});
+  std::vector<size_t> count(routers, 0);
+  u64 last_gw = kNever;
+  for (size_t i = 0; i < n; ++i) {
+    const u32 r = tr[i];
+    ++count[r];
+    const u64 gw_entry = ((tm[i] & kCycMask) << kRouterBits) | r;
+    if (gw_entry != last_gw) {
+      last_gw = gw_entry;
+      gw[shard_of[r]].push_back(gw_entry);
+    }
+  }
+  for (size_t r = 0; r < routers; ++r) off[r + 1] = off[r] + count[r];
+  stream.resize(off[routers]);
+  std::vector<size_t> at(off.begin(), off.end() - 1);
+  for (size_t i = 0; i < n; ++i) stream[at[tr[i]]++] = tm[i];
+}
+
 /// One contiguous router range plus everything only its owner touches.
 struct Shard {
   u32 id = 0;
@@ -202,9 +420,8 @@ struct Shard {
   std::vector<u64> wheel;  ///< [slot * words + word]
   size_t words = 0;
   size_t word_base = 0;
-  // Injection wake stream: (cycle << kRouterBits | router) of every
-  // cycle a router in this shard receives at least one offered packet.
-  std::vector<u64> gw;
+  // Injection wake stream (InjectionPlan::gw of this shard).
+  std::span<const u64> gw;
   size_t gw_pos = 0;
   // Coupled neighbour shards (share at least one link, either
   // direction) and the producers with a mailbox into this shard.
@@ -233,8 +450,8 @@ struct Shard {
 class EventCore {
  public:
   EventCore(const Topology& topology, const Routing& routing,
-            const TrafficPattern& traffic, double injection_rate,
-            const FlitSimConfig& config, const fault::FaultSchedule& faults);
+            const InjectionPlan& plan, const FlitSimConfig& config,
+            const fault::FaultSchedule& faults);
   FlitSimResult run();
 
  private:
@@ -259,6 +476,7 @@ class EventCore {
   void rebuild_live_ports();
 
   const Topology& topology_;
+  const InjectionPlan& plan_;
   const FlitSimConfig& config_;
   const fault::FaultSchedule& faults_;
   size_t modules_ = 0;
@@ -270,7 +488,6 @@ class EventCore {
   u64 measure_end_ = 0;
   u32 depth_ = 0;
 
-  std::vector<bool> dst_used_;
   PortTable ports_;
   // Computed next-hop for regular meshes under dimension-order routing:
   // replaces the O(routers^2) port table with O(routers) state. Faults
@@ -296,6 +513,7 @@ class EventCore {
   std::vector<size_t> chin_off_;
   std::vector<u32> ring_of_link_;
   std::vector<u32> ring_owner_;  ///< ring -> router whose input it is
+  std::vector<u32> ring_src_;    ///< ring -> router that pushes into it
   size_t cap_shift_ = 0;
   u32 cap_mask_ = 0;
   std::vector<u64> f_;
@@ -307,14 +525,10 @@ class EventCore {
   /// costs a byte load instead of a meta decode + port-table walk —
   /// and refreshed wholesale when a fault rebuild changes the table.
   std::vector<u8> pp_;
-  // Precomputed injection schedule (cycle-major per router, meta-word
-  // entries), the next offer cycle per router, and the global
-  // measured-offer count.
-  std::vector<size_t> inj_off_;
+  // Cursor into the plan's injection stream and the next offer cycle
+  // per router.
   std::vector<size_t> inj_cur_;
   std::vector<u64> inj_next_;  ///< next offer cycle, kNever when spent
-  std::vector<u64> inj_;
-  u64 injected_total_ = 0;
   // Wheel geometry.
   size_t W_ = 0;
   u64 wmask_ = 0;
@@ -340,58 +554,19 @@ class EventCore {
 };
 
 EventCore::EventCore(const Topology& topology, const Routing& routing,
-                     const TrafficPattern& traffic, double injection_rate,
-                     const FlitSimConfig& config,
+                     const InjectionPlan& plan, const FlitSimConfig& config,
                      const fault::FaultSchedule& faults)
-    : topology_(topology), config_(config), faults_(faults) {
+    : topology_(topology), plan_(plan), config_(config), faults_(faults) {
   modules_ = topology.module_count();
   routers_ = topology.router_count();
   channels_ = topology.link_count();
-  if (traffic.modules() != modules_) {
-    throw std::invalid_argument("simulate_network: traffic mismatch");
-  }
   delay_ = config.router_delay_cycles;
   total_ = config.warmup_cycles + config.measure_cycles + config.drain_cycles;
   measure_begin_ = config.warmup_cycles;
   measure_end_ = config.warmup_cycles + config.measure_cycles;
-  // The wheel bounds wake horizons by the pipeline delay, so a zero
-  // delay would allow same-cycle wakes; the rest are packing limits.
-  if (delay_ < 1 || routers_ >= (size_t{1} << kDstBits) ||
-      total_ + delay_ >= (u64{1} << kCycBits) ||
-      config.buffer_depth >= (size_t{1} << 16)) {
-    throw std::invalid_argument(
-        "simulate_network: config outside the event core's limits (needs "
-        "router_delay_cycles >= 1, routers < 2^26, "
-        "warmup+measure+drain+delay < 2^37, buffer depth < 2^16)");
-  }
   depth_ = static_cast<u32>(config.buffer_depth);
 
   chaos_ = !faults.events.empty();
-
-  // --- traffic cdf + used destinations (identical to the oracle;
-  // the sampler clamps to the last module, so its router is routable).
-  // Implicit patterns never build the O(modules^2) CDF: destinations
-  // come from the closed-form sampler, and any router may be a target.
-  const bool implicit = traffic.implicit_form();
-  std::vector<double> cdf;
-  dst_used_.assign(routers_, implicit);
-  if (!implicit) {
-    cdf.resize(modules_ * modules_);
-    for (size_t s = 0; s < modules_; ++s) {
-      double acc = 0.0;
-      for (size_t d = 0; d < modules_; ++d) {
-        const double p = traffic.probability(s, d);
-        acc += p;
-        cdf[s * modules_ + d] = acc;
-        if (p > 0.0) dst_used_[topology.module_router(d)] = true;
-      }
-    }
-    if (modules_ > 0) dst_used_[topology.module_router(modules_ - 1)] = true;
-  }
-  std::vector<size_t> module_router(modules_);
-  for (size_t d = 0; d < modules_; ++d) {
-    module_router[d] = topology.module_router(d);
-  }
 
   // --- next-hop state. A regular mesh under dimension-order routing
   // gets the computed O(routers) grid (the port it yields is the dense
@@ -404,7 +579,7 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
   }
   use_grid_ = grid_.has_value();
   if (!use_grid_) {
-    ports_ = build_port_table(topology, routing, dst_used_);
+    ports_ = build_port_table(topology, routing, plan.dst_used);
   }
 
   // --- flat output arrays + input-channel lists.
@@ -450,6 +625,7 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
   chin_off_.assign(routers_ + 1, 0);
   ring_of_link_.assign(channels_, 0);
   ring_owner_.assign(channels_, 0);
+  ring_src_.assign(channels_, 0);
   n_inputs_.assign(routers_, 1);
   {
     size_t rid = 0;
@@ -457,6 +633,7 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
       chin_off_[r] = rid;
       for (const size_t l : in_channels_[r]) {
         ring_owner_[rid] = static_cast<u32>(r);
+        ring_src_[rid] = static_cast<u32>(topology.link(l).src);
         ring_of_link_[l] = static_cast<u32>(rid++);
       }
       n_inputs_[r] = static_cast<u32>(1 + in_channels_[r].size());
@@ -471,19 +648,14 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
   hr_.assign(channels_, kNever);
   pp_.assign(channels_ << cap_shift_, kNoPort);
 
-  // --- wheel geometry: wakes span (c, c + delay] plus the c+1 blocked
+  // --- wheel geometry: wakes span [c, c + delay] plus the c+1 blocked
   // poll, so delay+2 pow2 slots are unambiguous.
   W_ = 1;
   while (W_ < static_cast<size_t>(delay_) + 2) W_ <<= 1;
   wmask_ = W_ - 1;
 
-  // --- shards: contiguous balanced ranges.
-  S_ = config.partitions != 0 ? config.partitions
-                              : (config.threads != 0
-                                     ? config.threads
-                                     : std::max<size_t>(
-                                           1, std::thread::hardware_concurrency()));
-  S_ = std::max<size_t>(1, std::min(S_, std::max<size_t>(routers_, 1)));
+  // --- shards: the plan's contiguous balanced ranges.
+  S_ = plan.gw.size();
   T_ = config.threads != 0
            ? config.threads
            : std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -493,8 +665,9 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
   for (size_t k = 0; k < S_; ++k) {
     auto sh = std::make_unique<Shard>();
     sh->id = static_cast<u32>(k);
-    sh->begin = static_cast<u32>(k * routers_ / S_);
-    sh->end = static_cast<u32>((k + 1) * routers_ / S_);
+    sh->begin = shard_begin(k, S_, routers_);
+    sh->end = shard_begin(k + 1, S_, routers_);
+    sh->gw = plan.gw[k];
     for (u32 r = sh->begin; r < sh->end; ++r) shard_of_[r] = sh->id;
     if (sh->end > sh->begin) {
       sh->word_base = sh->begin >> 6;
@@ -534,120 +707,12 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
     }
   }
 
-  // --- injection precompute: one pass over the oracle's exact RNG draw
-  // sequence (bernoulli, then uniform + lower_bound on a hit) for every
-  // (cycle < measure_end, module) pair. The stream is state-independent,
-  // so materialising it up front cannot change it. Hits append to one
-  // flat draw-order buffer and a stable counting sort by source router
-  // produces the per-router cycle-major streams.
-  inj_off_.assign(routers_ + 1, 0);
-  {
-    const u64 inj_end = std::min(measure_end_, total_);
-    // Guide table: g[m * K + k] = lower_bound(row_m, k / K). The per-hit
-    // search resumes near where lower_bound would land; the guard loops
-    // below re-run the oracle's comparisons (row[d] < u), so the sampled
-    // destination is bit-identical even at bucket-boundary roundoff.
-    // Implicit patterns have no CDF and need no guide.
-    const size_t K = implicit ? 0 : modules_;
-    const double Kd = static_cast<double>(K);
-    std::vector<u32> guide(modules_ * K);
-    for (size_t m = 0; m < modules_ && !implicit; ++m) {
-      const double* row = &cdf[m * modules_];
-      size_t i = 0;
-      for (size_t k = 0; k < K; ++k) {
-        const double lo = static_cast<double>(k) / Kd;
-        while (i < modules_ && row[i] < lo) ++i;
-        guide[m * K + k] = static_cast<u32>(i);
-      }
-    }
-    // bernoulli(p) draws one generator step x and tests
-    // (x >> 11) * 2^-53 < p; the power-of-two product is exact, so the
-    // test is equivalently (x >> 11) < ceil(p * 2^53) in pure integer
-    // space — the branch no longer waits on an int->double conversion.
-    const u64 thresh =
-        injection_rate <= 0.0
-            ? 0
-            : injection_rate >= 1.0
-                  ? (u64{1} << 53)
-                  : static_cast<u64>(std::ceil(injection_rate * 0x1.0p53));
-    std::vector<u64> tmp_meta;
-    std::vector<u32> tmp_r;
-    const double est = injection_rate * static_cast<double>(inj_end) *
-                       static_cast<double>(modules_);
-    size_t cap_tmp = static_cast<size_t>(est * 1.10) + 4096;
-    tmp_meta.resize(cap_tmp);
-    tmp_r.resize(cap_tmp);
-    u64* tm = tmp_meta.data();
-    u32* tr = tmp_r.data();
-    size_t n = 0;
-    size_t n_at_begin = kNever;
-    Rng rng(config.seed);
-    for (u64 cycle = 0; cycle < inj_end; ++cycle) {
-      if (cycle == measure_begin_) n_at_begin = n;
-      const u64 mbit =
-          cycle >= measure_begin_ && cycle < measure_end_ ? u64{1} << 63 : 0;
-      if (n + modules_ > cap_tmp) {
-        cap_tmp = cap_tmp * 2 + modules_;
-        tmp_meta.resize(cap_tmp);
-        tmp_r.resize(cap_tmp);
-        tm = tmp_meta.data();
-        tr = tmp_r.data();
-      }
-      for (size_t m = 0; m < modules_; ++m) {
-        // The Bernoulli hit test consumes one generator step, exactly
-        // like the oracle loop's rng.bernoulli; on a hit the dense path
-        // draws one uniform for its CDF search and the implicit path
-        // hands the RNG to the pattern's closed-form sampler. Either
-        // way the stream never depends on network state.
-        const u64 x = rng.raw();
-        if ((x >> 11) >= thresh) continue;
-        size_t d;
-        if (implicit) {
-          d = traffic.sample(rng, m);
-        } else {
-          const double u = rng.uniform();
-          const double* row = &cdf[m * modules_];
-          size_t k = static_cast<size_t>(u * Kd);
-          if (k >= K) k = K - 1;
-          d = guide[m * K + k];
-          while (d > 0 && row[d - 1] >= u) --d;
-          while (d < modules_ && row[d] < u) ++d;
-          if (d >= modules_) d = modules_ - 1;
-        }
-        tm[n] = cycle | (static_cast<u64>(module_router[d]) << kCycBits) | mbit;
-        tr[n] = static_cast<u32>(module_router[m]);
-        ++n;
-      }
-    }
-    injected_total_ = n - (n_at_begin == kNever ? n : n_at_begin);
-    // Histogram + injection-wake streams in one post-pass (draw order is
-    // cycle-major, so consecutive-duplicate dedup matches the inline
-    // form), then a stable counting-sort scatter into per-router
-    // cycle-major streams.
-    std::vector<size_t> count(routers_, 0);
-    u64 last_gw = kNever;
-    for (size_t i = 0; i < n; ++i) {
-      const u32 r = tr[i];
-      ++count[r];
-      const u64 gw_entry = ((tm[i] & kCycMask) << kRouterBits) | r;
-      if (gw_entry != last_gw) {
-        last_gw = gw_entry;
-        shards_[shard_of_[r]]->gw.push_back(gw_entry);
-      }
-    }
-    for (size_t r = 0; r < routers_; ++r) {
-      inj_off_[r + 1] = inj_off_[r] + count[r];
-    }
-    inj_.resize(inj_off_[routers_]);
-    std::vector<size_t> at(inj_off_.begin(), inj_off_.end() - 1);
-    for (size_t i = 0; i < n; ++i) {
-      inj_[at[tr[i]]++] = tm[i];
-    }
-    inj_cur_ = inj_off_;  // cursor starts at each router's first entry
-    inj_cur_.pop_back();
-    inj_next_.assign(routers_, kNever);
-    for (size_t r = 0; r < routers_; ++r) {
-      if (count[r] > 0) inj_next_[r] = inj_[inj_off_[r]] & kCycMask;
+  // --- injection cursors at each router's first offer.
+  inj_cur_.assign(plan.off.begin(), plan.off.end() - 1);
+  inj_next_.assign(routers_, kNever);
+  for (size_t r = 0; r < routers_; ++r) {
+    if (plan.off[r + 1] > plan.off[r]) {
+      inj_next_[r] = plan.stream[plan.off[r]] & kCycMask;
     }
   }
 
@@ -770,6 +835,17 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
   const u8* prow = GRID ? nullptr : pt + static_cast<size_t>(r) * nrouters;
   const size_t cb = chin_off_[r];
   const size_t ce = chin_off_[r + 1];
+  const u32 sh_begin = sh.begin;
+  const u32 sh_size = sh.end - sh.begin;
+  /// A router of this shard (one unsigned compare: ranges are contiguous).
+  const auto in_shard = [&](u32 x) { return x - sh_begin < sh_size; };
+  const auto has_budget = [&](u8 p) {
+    if constexpr (BW1) {
+      return ((obud >> p) & 1u) != 0;
+    } else {
+      return bud[p] > 0;
+    }
+  };
 
   /// Append flit record m to the ring named by rd (= ring | owner
   /// router << 32) whose pre-checked cursor word is hs2. The caller has
@@ -803,8 +879,12 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
   // every output budget and the eject budget are spent: no later input
   // can move anything, so the rest of the pass is skipped (only valid
   // in clean mode — a fault-era head with a dead route is consumed
-  // without budget, so those passes run to the end).
+  // without budget, so those passes run to the end). `poll` records
+  // that a head or offer stalled for a reason only time clears (a spent
+  // budget, an unexamined input, or a full ring another shard drains);
+  // one stalled on a full ring of this shard waits for its credit.
   bool open = true;
+  bool poll = false;
   const auto drain_rings = [&](size_t lo, size_t hi) {
     for (size_t base = lo; base < hi && open; base += 64) {
       // Branchless ready-set gather: hr_ for this router's rings is
@@ -823,14 +903,16 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
           const size_t si = (rid << csh) + (hs & 0xFFFFu);
           const u8 p = pp[si];
           if (p < kEject) {
-            if constexpr (BW1) {
-              if (!((obud >> p) & 1u)) break;
-            } else {
-              if (bud[p] <= 0) break;
+            if (!has_budget(p)) {
+              poll = true;
+              break;
             }
             const u64 rd = ord[ob + p];
             const u32 hs2 = qhs[static_cast<u32>(rd)];
-            if ((hs2 >> 16) >= dep) break;
+            if ((hs2 >> 16) >= dep) {
+              poll = poll || !in_shard(static_cast<u32>(rd >> 32));
+              break;
+            }
             if constexpr (BW1) {
               obud &= ~(u32{1} << p);
             } else {
@@ -838,7 +920,10 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
             }
             push_flit(rd, hs2, f[si * 2 + 1]);
           } else if (p == kEject) {
-            if (eject_budget <= 0) break;
+            if (eject_budget <= 0) {
+              poll = true;
+              break;
+            }
             --eject_budget;
             const u64 m = f[si * 2 + 1];
             if (m >> 63) {
@@ -851,10 +936,16 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
                             static_cast<u32>(m >> kCycBits) & kDstMask,
                             (m >> 63) != 0, p);
           }
-          // pop
+          // pop; a pop from a full ring is the credit its upstream
+          // router may be waiting for. Routers above r have yet to turn
+          // this cycle, so they may use the slot now.
           const u32 nh = ((hs & 0xFFFFu) + 1) & cmask;
           const u32 size = (hs >> 16) - 1;
           qhs[rid] = nh | (size << 16);
+          if ((hs >> 16) >= dep) [[unlikely]] {
+            const u32 up = ring_src_[rid];
+            if (in_shard(up)) schedule(sh, up, up > r ? c : c + 1);
+          }
           if (!size) {
             hr[rid] = kNever;
             break;
@@ -866,6 +957,7 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
         if constexpr (BW1) {
           if (!chaos_ && obud == 0 && eject_budget <= 0) {
             open = false;
+            poll = true;
             break;
           }
         }
@@ -885,14 +977,16 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
         return true;
       }
     }
-    if constexpr (BW1) {
-      if (!((obud >> p) & 1u)) return false;
-    } else {
-      if (bud[p] <= 0) return false;
+    if (!has_budget(p)) {
+      poll = true;
+      return false;
     }
     const u64 rd = ord[ob + p];
     const u32 hs2 = qhs[static_cast<u32>(rd)];
-    if ((hs2 >> 16) >= dep) return false;
+    if ((hs2 >> 16) >= dep) {
+      poll = poll || !in_shard(static_cast<u32>(rd >> 32));
+      return false;
+    }
     if constexpr (BW1) {
       obud &= ~(u32{1} << p);
     } else {
@@ -905,13 +999,16 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
     if (!open) return;
     if (inj_next_[r] > c) return;
     size_t cur = inj_cur_[r];
-    const size_t end = inj_off_[r + 1];
-    const u64* const inj = inj_.data();
+    const size_t end = plan_.off[r + 1];
+    const u64* const inj = plan_.stream.data();
     u64 e = 0;
     while (cur < end && (e = inj[cur], (e & kCycMask) <= c)) {
       const u32 dstr = static_cast<u32>(e >> kCycBits) & kDstMask;
       if (dstr == r) {
-        if (eject_budget <= 0) break;
+        if (eject_budget <= 0) {
+          poll = true;
+          break;
+        }
         --eject_budget;
         if (e >> 63) {
           ++sh.delivered;
@@ -934,13 +1031,21 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
     drain_rings(cb, cb + start - 1);
   }
 
-  // End-of-turn reschedule: earliest pending head (in-pipeline flit or
-  // stalled injection). A head still blocked at <= c polls next cycle.
-  u64 m = inj_next_[r];
-  for (size_t rid = cb; rid < ce; ++rid) {
-    m = std::min(m, hr[rid]);
+  // End-of-turn reschedule. A head or offer still stalled at c polls
+  // at c + 1 if any stall set `poll`; otherwise each waits for the
+  // credit that wakes r. A head still in the pipeline turns r when it
+  // becomes ready; future offers are woken by the gw stream.
+  u64 m = kNever;
+  for (size_t rid = cb; rid < ce; ++rid) m = std::min(m, hr[rid]);
+  if (poll && (m <= c || inj_next_[r] <= c)) {
+    m = c + 1;
+  } else if (m <= c) {
+    m = kNever;
+    for (size_t rid = cb; rid < ce; ++rid) {
+      if (hr[rid] > c) m = std::min(m, hr[rid]);
+    }
   }
-  if (m != kNever) schedule(sh, r, m <= c ? c + 1 : m);
+  if (m != kNever) schedule(sh, r, m);
 }
 
 template <bool BW1, bool GRID>
@@ -961,6 +1066,11 @@ void EventCore::execute_cycle(Shard& sh, const u64 c) {
       const u32 r = rbase + static_cast<u32>(std::countr_zero(bits));
       bits &= bits - 1;
       turn<BW1, GRID>(sh, r, c);
+      // A credit may have woken a higher router of this word for c.
+      if (const u64 woken = slot[w]) {
+        bits |= woken;
+        slot[w] = 0;
+      }
     } while (bits);
   }
 }
@@ -1027,8 +1137,6 @@ bool EventCore::step(Shard& sh) {
     if (!barrier_done_[bi].load(std::memory_order_acquire)) {
       return progressed;
     }
-    ++sh.barrier_idx;
-    sh.at_barrier = false;
   }
   // Staircase constraints: lower coupled shards must have completed t
   // (their within-cycle effects precede ours), higher ones t-1.
@@ -1037,6 +1145,21 @@ bool EventCore::step(Shard& sh) {
     if (shards_[nb]->p1.load(std::memory_order_acquire) < need) return false;
   }
   drain_mail(sh);
+  if (sh.at_barrier) {
+    // Past the barrier (kept pending until now so t stays the shard's
+    // next work, and read only once no coupled shard can touch our
+    // rings). Routes changed under heads that were waiting for a
+    // credit: turn every router with a due head or offer.
+    ++sh.barrier_idx;
+    sh.at_barrier = false;
+    for (u32 r = sh.begin; r < sh.end; ++r) {
+      bool due = inj_next_[r] <= t;
+      for (size_t rid = chin_off_[r]; rid < chin_off_[r + 1]; ++rid) {
+        due = due || hr_[rid] <= t;
+      }
+      if (due) schedule(sh, r, t);
+    }
+  }
   if (bw1_) {
     if (use_grid_) {
       execute_cycle<true, true>(sh, t);
@@ -1094,10 +1217,10 @@ void EventCore::apply_faults_at(const u64 cycle) {
     // future measured offers are counted as dropped at the source (the
     // oracle loop counts them one by one at their injection cycles; the
     // totals are identical because the stream is precomputed).
-    for (size_t i = inj_cur_[r]; i < inj_off_[r + 1]; ++i) {
-      if (inj_[i] >> 63) ++fault_dropped_;
+    for (size_t i = inj_cur_[r]; i < plan_.off[r + 1]; ++i) {
+      if (plan_.stream[i] >> 63) ++fault_dropped_;
     }
-    inj_cur_[r] = inj_off_[r + 1];
+    inj_cur_[r] = plan_.off[r + 1];
     inj_next_[r] = kNever;
     changed = true;
   }
@@ -1112,7 +1235,7 @@ void EventCore::rebuild_live_ports() {
   std::vector<u32> bfs_queue(routers_);
   constexpr u32 kUnset = 0xFFFFFFFFu;
   for (size_t dst = 0; dst < routers_; ++dst) {
-    if (!dst_used_[dst]) continue;
+    if (!plan_.dst_used[dst]) continue;
     std::fill(dist.begin(), dist.end(), kUnset);
     size_t qhead = 0;
     size_t qtail = 0;
@@ -1263,7 +1386,7 @@ FlitSimResult EventCore::run() {
     result.route_failures.push_back(fails[i].status);
   }
   result.delivered = static_cast<size_t>(delivered);
-  result.injected = static_cast<size_t>(injected_total_);
+  result.injected = static_cast<size_t>(plan_.injected_total);
   result.dropped = static_cast<size_t>(fault_dropped_);
   result.unreachable = static_cast<size_t>(unreachable);
   result.dead_links = static_cast<size_t>(dead_links_);
@@ -1299,8 +1422,27 @@ FlitSimResult simulate_network(const Topology& topology,
                                double injection_rate,
                                const FlitSimConfig& config,
                                const fault::FaultSchedule& faults) {
-  EventCore core(topology, routing, traffic, injection_rate, config, faults);
-  return core.run();
+  return simulate_network(topology, routing, traffic, injection_rate, config,
+                          std::span(&faults, 1))[0];
+}
+
+std::vector<FlitSimResult> simulate_network(
+    const Topology& topology, const Routing& routing,
+    const TrafficPattern& traffic, double injection_rate,
+    const FlitSimConfig& config,
+    std::span<const fault::FaultSchedule> schedules) {
+  check_limits(topology, traffic, config);
+  std::vector<FlitSimResult> results;
+  if (schedules.empty()) return results;
+  const InjectionPlan plan(topology, traffic, injection_rate, config);
+  results.reserve(schedules.size());
+  for (auto it = schedules.begin(); it != schedules.end(); ++it) {
+    const auto same = std::find(schedules.begin(), it, *it);
+    results.push_back(
+        same != it ? results[static_cast<size_t>(same - schedules.begin())]
+                   : EventCore(topology, routing, plan, config, *it).run());
+  }
+  return results;
 }
 
 }  // namespace wi::noc

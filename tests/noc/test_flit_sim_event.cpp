@@ -1,23 +1,30 @@
 /// \file test_flit_sim_event.cpp
 /// \brief Event-wheel core specifics: wheel quiescence, degenerate
-///        topologies, partition-count bit-identity, and fault
-///        activations landing on partition window boundaries.
+///        topologies, partition-count bit-identity, fault activations
+///        landing on partition window boundaries, credit wakes under
+///        campaign fault schedules, and the multi-schedule overload.
 ///
 /// The golden tests pin the event core against the committed result
 /// files; this file pins it against the cycle-stepped oracle
 /// (flit_sim_oracle.hpp) under configurations chosen to stress the
 /// event-specific machinery: the calendar wheel, the shard staircase,
-/// and the fault barriers.
+/// the fault barriers, and the credit wakes that replace polling for a
+/// head blocked on a full ring.
 
 #include "wi/noc/flit_sim.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "flit_sim_oracle.hpp"
 #include "wi/common/fault.hpp"
+#include "wi/sim/campaign.hpp"
+#include "wi/sim/registry.hpp"
+#include "wi/sim/workloads/fault_sweep.hpp"
 
 namespace wi::noc {
 namespace {
@@ -148,6 +155,170 @@ TEST(FlitSimEvent, FaultOnPartitionWindowBoundaryIsBitIdentical) {
   }
   EXPECT_GT(expected.dead_links, 0u);
   EXPECT_GT(expected.dead_routers, 0u);
+}
+
+/// One replica of the registered campaign_fault_mesh2d_8x8 campaign
+/// (seed index `index` of base seed 1): its mesh, routing, traffic and
+/// DES config, and its fault schedules derived as fault_sweep does.
+struct CampaignReplica {
+  explicit CampaignReplica(std::size_t index)
+      : spec(sim::scenario_for_seed(
+            sim::ScenarioRegistry::paper().get("campaign_fault_mesh2d_8x8"),
+            sim::campaign_seed(1, index))),
+        sweep(spec.payload<sim::FaultSweepSpec>()),
+        topology(spec.noc.topology.build()),
+        routing(spec.noc.build_routing()),
+        traffic(spec.noc.build_traffic(topology.module_count())),
+        config(spec.noc.des_config({sweep.warmup_cycles, sweep.measure_cycles,
+                                    sweep.drain_cycles, sweep.buffer_depth,
+                                    sweep.seed})) {}
+
+  [[nodiscard]] fault::FaultSchedule schedule(double rate) const {
+    fault::FaultSpec spec_fault = sweep.fault;
+    spec_fault.link_fail_rate = rate;
+    spec_fault.router_fail_rate = rate * sweep.router_fail_fraction;
+    return fault::FaultSchedule::derive(
+        spec_fault, topology.link_count(), topology.router_count(),
+        sweep.warmup_cycles + sweep.measure_cycles);
+  }
+
+  sim::ScenarioSpec spec;
+  sim::FaultSweepSpec sweep;
+  Topology topology;
+  std::unique_ptr<Routing> routing;
+  TrafficPattern traffic;
+  FlitSimConfig config;
+};
+
+/// Oracle vs the multi-schedule overload at 1, 2 and 4 partitions (one
+/// thread per partition). Full rings, reroutes and deadlocks are where
+/// a head waits for a credit instead of polling, so a missed wake shows
+/// up as a diverging statistic.
+void expect_matches_oracle(const Topology& topology, const Routing& routing,
+                           const TrafficPattern& traffic, double load,
+                           const FlitSimConfig& config,
+                           const std::vector<fault::FaultSchedule>& faults) {
+  std::vector<FlitSimResult> expected;
+  for (const auto& schedule : faults) {
+    expected.push_back(oracle::simulate_network(topology, routing, traffic,
+                                                load, config, schedule));
+  }
+  for (const std::size_t parts : {1u, 2u, 4u}) {
+    FlitSimConfig event = config;
+    event.partitions = parts;
+    event.threads = parts;
+    const auto got =
+        simulate_network(topology, routing, traffic, load, event, faults);
+    ASSERT_EQ(got.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "partitions=" << parts
+                                      << " schedule=" << i);
+      expect_identical(expected[i], got[i]);
+    }
+  }
+}
+
+TEST(FlitSimEvent, CampaignFaultReplicasMatchOracle) {
+  for (const std::size_t index : {0u, 3u, 6u}) {
+    const CampaignReplica replica(index);
+    std::vector<fault::FaultSchedule> faults;
+    for (const double rate : {0.0, 0.05, 0.15, 0.3}) {
+      faults.push_back(replica.schedule(rate));
+    }
+    for (const double load : {0.1, 0.3}) {
+      SCOPED_TRACE(testing::Message() << "replica=" << index
+                                      << " load=" << load);
+      expect_matches_oracle(replica.topology, *replica.routing,
+                            replica.traffic, load, replica.config, faults);
+    }
+  }
+}
+
+TEST(FlitSimEvent, BandwidthTwoLinksUnderFaultsMatchOracle) {
+  // star_mesh_irl moves up to two flits per channel per cycle: the
+  // per-output budget array path rather than the bandwidth-1 bitmask.
+  const Topology t = Topology::star_mesh_irl(3, 3, 2, 2);
+  const DimensionOrderRouting routing;
+  const TrafficPattern traffic = TrafficPattern::uniform(t.module_count());
+  FlitSimConfig config = base_config();
+  config.seed = 5;
+  fault::FaultSpec spec;
+  spec.link_fail_rate = 0.15;
+  spec.router_fail_rate = 0.05;
+  spec.seed = 5;
+  const std::vector<fault::FaultSchedule> faults = {
+      {}, fault::FaultSchedule::derive(spec, t.link_count(), t.router_count(),
+                                       3500)};
+  ASSERT_FALSE(faults[1].empty());
+  expect_matches_oracle(t, routing, traffic, 0.4, config, faults);
+}
+
+TEST(FlitSimEvent, ShortestPathOnIrregularMeshUnderFaultsMatchesOracle) {
+  // Vertical links on every other column only: no dimension-order grid,
+  // so even the clean run routes through the dense port table.
+  const Topology t = Topology::partial_vertical_mesh_3d(4, 4, 2, 2);
+  const ShortestPathRouting routing;
+  const TrafficPattern traffic = TrafficPattern::uniform(t.module_count());
+  FlitSimConfig config = base_config();
+  config.seed = 9;
+  fault::FaultSpec spec;
+  spec.link_fail_rate = 0.15;
+  spec.router_fail_rate = 0.05;
+  spec.seed = 9;
+  const std::vector<fault::FaultSchedule> faults = {
+      {}, fault::FaultSchedule::derive(spec, t.link_count(), t.router_count(),
+                                       3500)};
+  ASSERT_FALSE(faults[1].empty());
+  expect_matches_oracle(t, routing, traffic, 0.3, config, faults);
+}
+
+TEST(FlitSimEvent, ScheduleSpanEqualsOneCallPerSchedule) {
+  const CampaignReplica replica(1);
+  const std::vector<fault::FaultSchedule> faults = {
+      replica.schedule(0.15), {}, replica.schedule(0.05),
+      replica.schedule(0.15)};
+  for (const std::size_t parts : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "partitions=" << parts);
+    FlitSimConfig config = replica.config;
+    config.partitions = parts;
+    config.threads = parts;
+    const auto batch =
+        simulate_network(replica.topology, *replica.routing, replica.traffic,
+                         replica.sweep.injection_rate, config, faults);
+    ASSERT_EQ(batch.size(), faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "schedule=" << i);
+      const auto one =
+          simulate_network(replica.topology, *replica.routing,
+                           replica.traffic, replica.sweep.injection_rate,
+                           config, faults[i]);
+      expect_identical(one, batch[i]);
+      EXPECT_EQ(one.turns_executed, batch[i].turns_executed);
+    }
+  }
+  EXPECT_TRUE(simulate_network(replica.topology, *replica.routing,
+                               replica.traffic, 0.1, replica.config,
+                               std::vector<fault::FaultSchedule>{})
+                  .empty());
+}
+
+TEST(FlitSimEvent, DeadlockedMeshStopsTurningRouters) {
+  // At rate 0.15 this replica's rerouted mesh deadlocks: a cycle of full
+  // rings that no pop ever frees. Every head in it waits for a credit,
+  // so a longer drain window executes no further turns.
+  const CampaignReplica replica(3);
+  const fault::FaultSchedule faults = replica.schedule(0.15);
+  FlitSimConfig config = replica.config;
+  const auto a =
+      simulate_network(replica.topology, *replica.routing, replica.traffic,
+                       replica.sweep.injection_rate, config, faults);
+  config.drain_cycles *= 2;
+  const auto b =
+      simulate_network(replica.topology, *replica.routing, replica.traffic,
+                       replica.sweep.injection_rate, config, faults);
+  EXPECT_FALSE(a.stable) << "replica 3 no longer deadlocks at rate 0.15";
+  EXPECT_EQ(a.delivered, b.delivered);
+  EXPECT_EQ(a.turns_executed, b.turns_executed);
 }
 
 TEST(FlitSimEvent, RejectsZeroRouterDelay) {

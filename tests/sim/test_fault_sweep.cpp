@@ -1,9 +1,9 @@
 /// fault_sweep workload tests: registry scenarios validate, the
-/// baseline (zero-rate) row shows no degradation, heavier rates kill
-/// entities, the payload survives the JSON codec, runs are
-/// deterministic, and a campaign over the sweep is bit-identical at 1
-/// and 4 threads — the property the committed statistical golden
-/// assumes.
+/// baseline (zero-rate) row shows no degradation and equals a
+/// fault-free DES run, heavier rates kill entities, the payload
+/// survives the JSON codec, runs are deterministic, and a campaign over
+/// the sweep is bit-identical at 1 and 4 threads — the property the
+/// committed statistical golden assumes.
 
 #include "wi/sim/workloads/fault_sweep.hpp"
 
@@ -11,6 +11,7 @@
 
 #include <string>
 
+#include "wi/noc/flit_sim.hpp"
 #include "wi/sim/campaign.hpp"
 #include "wi/sim/engine.hpp"
 #include "wi/sim/registry.hpp"
@@ -101,6 +102,29 @@ TEST(FaultSweep, BaselineRowIsCleanAndHeavyRowDegrades) {
   EXPECT_GT(std::stoll(table.cell(1, 1)) + std::stoll(table.cell(1, 2)),
             0);
   EXPECT_GE(std::stod(table.cell(1, 8)), 0.0);
+}
+
+TEST(FaultSweep, ZeroRateRowIsTheFaultFreeRun) {
+  // The zero-rate schedule is empty, so its row reuses the baseline run:
+  // it must read exactly what a fault-free DES call gives.
+  const ScenarioSpec spec = small_sweep();
+  const auto& sweep = spec.payload<FaultSweepSpec>();
+  const noc::Topology topology = spec.noc.topology.build();
+  const auto clean = noc::simulate_network(
+      topology, *spec.noc.build_routing(),
+      spec.noc.build_traffic(topology.module_count()), sweep.injection_rate,
+      spec.noc.des_config({sweep.warmup_cycles, sweep.measure_cycles,
+                           sweep.drain_cycles, sweep.buffer_depth,
+                           sweep.seed}));
+  SimEngine engine;
+  const RunResult result = engine.run(spec);
+  ASSERT_TRUE(result.ok()) << result.status.to_string();
+  const Table& table = result.table;
+  EXPECT_EQ(table.cell(0, 3), Table::num(clean.mean_latency_cycles, 4));
+  EXPECT_EQ(table.cell(0, 4), Table::num(clean.delivered_per_cycle, 5));
+  EXPECT_EQ(table.cell(0, 5),
+            Table::num(static_cast<long long>(clean.delivered)));
+  EXPECT_EQ(table.cell(0, 8), Table::num(0.0, 4)) << "thr_degraded";
 }
 
 TEST(FaultSweep, RunsAreDeterministic) {
