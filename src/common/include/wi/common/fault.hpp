@@ -93,16 +93,12 @@ struct FaultEvent {
   Kind kind = Kind::kLink;
   std::uint32_t index = 0;      ///< link or router index
   std::uint64_t at_cycle = 0;   ///< activation cycle
-
-  [[nodiscard]] bool operator==(const FaultEvent&) const = default;
 };
 
 /// The materialized schedule: every failing entity with its activation
 /// cycle, sorted by (at_cycle, kind, index).
 struct FaultSchedule {
   std::vector<FaultEvent> events;
-
-  [[nodiscard]] bool operator==(const FaultSchedule&) const = default;
 
   [[nodiscard]] bool empty() const { return events.empty(); }
   [[nodiscard]] std::size_t links_failed() const;

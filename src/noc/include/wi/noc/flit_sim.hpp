@@ -27,15 +27,10 @@
 /// reroutes around the failure. Destinations cut off from a source
 /// surface as wi::Status rows in FlitSimResult::route_failures — flits
 /// bound for them are dropped and counted, never thrown. An empty
-/// schedule gives the same result as the five-argument overload.
-///
-/// Sweeps that replay one traffic stream under several schedules pass
-/// them all at once: the span overload draws the injection stream once
-/// and runs each distinct schedule once. The other two overloads are
-/// that call with one schedule.
+/// schedule gives the same result as the five-argument overload, so a
+/// sweep may reuse its fault-free run for an empty schedule.
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "wi/common/fault.hpp"
@@ -88,7 +83,9 @@ struct FlitSimResult {
   /// Diagnostics (not part of any golden): router turns the core
   /// actually executed. Only routers with pending work are turned, so
   /// this is 0 for a zero-traffic run and far below routers * cycles
-  /// at low load.
+  /// at low load; a head blocked on a full ring waits for the pop that
+  /// frees a slot instead of retrying, so a deadlocked mesh stops
+  /// adding turns.
   std::uint64_t turns_executed = 0;
 };
 
@@ -110,16 +107,5 @@ struct FlitSimResult {
                                              double injection_rate,
                                              const FlitSimConfig& config,
                                              const fault::FaultSchedule& faults);
-
-/// One traffic stream under several fault schedules: results[i] is
-/// bit-identical to the six-argument overload with `schedules[i]`
-/// (turns_executed included). The injection stream is drawn once for
-/// all of them, and a schedule equal to an earlier one reuses that
-/// result instead of running again.
-[[nodiscard]] std::vector<FlitSimResult> simulate_network(
-    const Topology& topology, const Routing& routing,
-    const TrafficPattern& traffic, double injection_rate,
-    const FlitSimConfig& config,
-    std::span<const fault::FaultSchedule> schedules);
 
 }  // namespace wi::noc

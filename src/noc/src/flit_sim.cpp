@@ -33,8 +33,7 @@
 ///    injection queue is virtual and uses the same meta format: the
 ///    whole Bernoulli schedule is materialised from the seed in one
 ///    pass (the RNG stream never depends on network state) and consumed
-///    through a cursor (a sweep over several fault schedules draws it
-///    once and shares it); destination sampling accelerates the oracle's
+///    through a cursor; destination sampling accelerates the oracle's
 ///    lower_bound with a guide table whose final comparisons are the
 ///    oracle's bit for bit. The round-robin arbitration pointer
 ///    advances exactly once per router per cycle, so it is derived as
@@ -66,7 +65,6 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -200,212 +198,6 @@ struct WakeQueue {
   }
 };
 
-/// Shard count for a config: `partitions`, else `threads`, else one per
-/// hardware thread, clamped to [1, routers].
-size_t shard_count(const FlitSimConfig& config, size_t routers) {
-  const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
-  const size_t s = config.partitions != 0 ? config.partitions
-                   : config.threads != 0  ? config.threads
-                                          : hw;
-  return std::max<size_t>(1, std::min(s, std::max<size_t>(routers, 1)));
-}
-
-/// Shard k of S owns the contiguous router range
-/// [k * routers / S, (k + 1) * routers / S).
-u32 shard_begin(size_t k, size_t shards, size_t routers) {
-  return static_cast<u32>(k * routers / shards);
-}
-
-/// Throws std::invalid_argument unless the inputs fit the event core.
-void check_limits(const Topology& topology, const TrafficPattern& traffic,
-                  const FlitSimConfig& config) {
-  if (traffic.modules() != topology.module_count()) {
-    throw std::invalid_argument("simulate_network: traffic mismatch");
-  }
-  const u64 delay = config.router_delay_cycles;
-  const u64 total =
-      config.warmup_cycles + config.measure_cycles + config.drain_cycles;
-  // The wheel bounds wake horizons by the pipeline delay, so a zero
-  // delay would allow same-cycle wakes; the rest are packing limits.
-  if (delay < 1 || topology.router_count() >= (size_t{1} << kDstBits) ||
-      total + delay >= (u64{1} << kCycBits) ||
-      config.buffer_depth >= (size_t{1} << 16)) {
-    throw std::invalid_argument(
-        "simulate_network: config outside the event core's limits (needs "
-        "router_delay_cycles >= 1, routers < 2^26, "
-        "warmup+measure+drain+delay < 2^37, buffer depth < 2^16)");
-  }
-}
-
-/// The injection stream of one (traffic, rate, seed, cycles, shard
-/// layout): read-only, and independent of faults, so every schedule of
-/// a sweep shares one.
-struct InjectionPlan {
-  InjectionPlan(const Topology& topology, const TrafficPattern& traffic,
-                double injection_rate, const FlitSimConfig& config);
-
-  /// Routers some packet may be bound for (the port table's columns).
-  std::vector<bool> dst_used;
-  /// Per-router cycle-major offers (meta words), router r's in
-  /// stream[off[r] .. off[r+1]).
-  std::vector<size_t> off;
-  std::vector<u64> stream;
-  /// Per shard: (cycle << kRouterBits | router) of every cycle a router
-  /// of the shard receives at least one offered packet.
-  std::vector<std::vector<u64>> gw;
-  u64 injected_total = 0;  ///< measured offers
-};
-
-InjectionPlan::InjectionPlan(const Topology& topology,
-                             const TrafficPattern& traffic,
-                             const double injection_rate,
-                             const FlitSimConfig& config) {
-  const size_t modules = topology.module_count();
-  const size_t routers = topology.router_count();
-  const u64 measure_begin = config.warmup_cycles;
-  const u64 measure_end = config.warmup_cycles + config.measure_cycles;
-  const u64 total = measure_end + config.drain_cycles;
-
-  // --- traffic cdf + used destinations (identical to the oracle;
-  // the sampler clamps to the last module, so its router is routable).
-  // Implicit patterns never build the O(modules^2) CDF: destinations
-  // come from the closed-form sampler, and any router may be a target.
-  const bool implicit = traffic.implicit_form();
-  std::vector<double> cdf;
-  dst_used.assign(routers, implicit);
-  if (!implicit) {
-    cdf.resize(modules * modules);
-    for (size_t s = 0; s < modules; ++s) {
-      double acc = 0.0;
-      for (size_t d = 0; d < modules; ++d) {
-        const double p = traffic.probability(s, d);
-        acc += p;
-        cdf[s * modules + d] = acc;
-        if (p > 0.0) dst_used[topology.module_router(d)] = true;
-      }
-    }
-    if (modules > 0) dst_used[topology.module_router(modules - 1)] = true;
-  }
-  std::vector<size_t> module_router(modules);
-  for (size_t d = 0; d < modules; ++d) {
-    module_router[d] = topology.module_router(d);
-  }
-
-  // --- one pass over the oracle's exact RNG draw sequence (bernoulli,
-  // then uniform + lower_bound on a hit) for every (cycle < measure_end,
-  // module) pair. The stream is state-independent, so materialising it
-  // up front cannot change it. Hits append to one flat draw-order
-  // buffer and a stable counting sort by source router produces the
-  // per-router cycle-major streams.
-  off.assign(routers + 1, 0);
-  const u64 inj_end = std::min(measure_end, total);
-  // Guide table: g[m * K + k] = lower_bound(row_m, k / K). The per-hit
-  // search resumes near where lower_bound would land; the guard loops
-  // below re-run the oracle's comparisons (row[d] < u), so the sampled
-  // destination is bit-identical even at bucket-boundary roundoff.
-  // Implicit patterns have no CDF and need no guide.
-  const size_t K = implicit ? 0 : modules;
-  const double Kd = static_cast<double>(K);
-  std::vector<u32> guide(modules * K);
-  for (size_t m = 0; m < modules && !implicit; ++m) {
-    const double* row = &cdf[m * modules];
-    size_t i = 0;
-    for (size_t k = 0; k < K; ++k) {
-      const double lo = static_cast<double>(k) / Kd;
-      while (i < modules && row[i] < lo) ++i;
-      guide[m * K + k] = static_cast<u32>(i);
-    }
-  }
-  // bernoulli(p) draws one generator step x and tests
-  // (x >> 11) * 2^-53 < p; the power-of-two product is exact, so the
-  // test is equivalently (x >> 11) < ceil(p * 2^53) in pure integer
-  // space — the branch no longer waits on an int->double conversion.
-  const u64 thresh =
-      injection_rate <= 0.0
-          ? 0
-          : injection_rate >= 1.0
-                ? (u64{1} << 53)
-                : static_cast<u64>(std::ceil(injection_rate * 0x1.0p53));
-  std::vector<u64> tmp_meta;
-  std::vector<u32> tmp_r;
-  const double est = injection_rate * static_cast<double>(inj_end) *
-                     static_cast<double>(modules);
-  size_t cap_tmp = static_cast<size_t>(est * 1.10) + 4096;
-  tmp_meta.resize(cap_tmp);
-  tmp_r.resize(cap_tmp);
-  u64* tm = tmp_meta.data();
-  u32* tr = tmp_r.data();
-  size_t n = 0;
-  size_t n_at_begin = kNever;
-  Rng rng(config.seed);
-  for (u64 cycle = 0; cycle < inj_end; ++cycle) {
-    if (cycle == measure_begin) n_at_begin = n;
-    const u64 mbit =
-        cycle >= measure_begin && cycle < measure_end ? u64{1} << 63 : 0;
-    if (n + modules > cap_tmp) {
-      cap_tmp = cap_tmp * 2 + modules;
-      tmp_meta.resize(cap_tmp);
-      tmp_r.resize(cap_tmp);
-      tm = tmp_meta.data();
-      tr = tmp_r.data();
-    }
-    for (size_t m = 0; m < modules; ++m) {
-      // The Bernoulli hit test consumes one generator step, exactly
-      // like the oracle loop's rng.bernoulli; on a hit the dense path
-      // draws one uniform for its CDF search and the implicit path
-      // hands the RNG to the pattern's closed-form sampler. Either
-      // way the stream never depends on network state.
-      const u64 x = rng.raw();
-      if ((x >> 11) >= thresh) continue;
-      size_t d;
-      if (implicit) {
-        d = traffic.sample(rng, m);
-      } else {
-        const double u = rng.uniform();
-        const double* row = &cdf[m * modules];
-        size_t k = static_cast<size_t>(u * Kd);
-        if (k >= K) k = K - 1;
-        d = guide[m * K + k];
-        while (d > 0 && row[d - 1] >= u) --d;
-        while (d < modules && row[d] < u) ++d;
-        if (d >= modules) d = modules - 1;
-      }
-      tm[n] = cycle | (static_cast<u64>(module_router[d]) << kCycBits) | mbit;
-      tr[n] = static_cast<u32>(module_router[m]);
-      ++n;
-    }
-  }
-  injected_total = n - (n_at_begin == kNever ? n : n_at_begin);
-  // Histogram + injection-wake streams in one post-pass (draw order is
-  // cycle-major, so consecutive-duplicate dedup matches the inline
-  // form), then a stable counting-sort scatter into per-router
-  // cycle-major streams.
-  const size_t shards = shard_count(config, routers);
-  std::vector<u32> shard_of(routers);
-  for (size_t k = 0; k < shards; ++k) {
-    const u32 end = shard_begin(k + 1, shards, routers);
-    for (u32 r = shard_begin(k, shards, routers); r < end; ++r) {
-      shard_of[r] = static_cast<u32>(k);
-    }
-  }
-  gw.assign(shards, {});
-  std::vector<size_t> count(routers, 0);
-  u64 last_gw = kNever;
-  for (size_t i = 0; i < n; ++i) {
-    const u32 r = tr[i];
-    ++count[r];
-    const u64 gw_entry = ((tm[i] & kCycMask) << kRouterBits) | r;
-    if (gw_entry != last_gw) {
-      last_gw = gw_entry;
-      gw[shard_of[r]].push_back(gw_entry);
-    }
-  }
-  for (size_t r = 0; r < routers; ++r) off[r + 1] = off[r] + count[r];
-  stream.resize(off[routers]);
-  std::vector<size_t> at(off.begin(), off.end() - 1);
-  for (size_t i = 0; i < n; ++i) stream[at[tr[i]]++] = tm[i];
-}
-
 /// One contiguous router range plus everything only its owner touches.
 struct Shard {
   u32 id = 0;
@@ -420,8 +212,9 @@ struct Shard {
   std::vector<u64> wheel;  ///< [slot * words + word]
   size_t words = 0;
   size_t word_base = 0;
-  // Injection wake stream (InjectionPlan::gw of this shard).
-  std::span<const u64> gw;
+  // Injection wake stream: (cycle << kRouterBits | router) of every
+  // cycle a router in this shard receives at least one offered packet.
+  std::vector<u64> gw;
   size_t gw_pos = 0;
   // Coupled neighbour shards (share at least one link, either
   // direction) and the producers with a mailbox into this shard.
@@ -450,8 +243,8 @@ struct Shard {
 class EventCore {
  public:
   EventCore(const Topology& topology, const Routing& routing,
-            const InjectionPlan& plan, const FlitSimConfig& config,
-            const fault::FaultSchedule& faults);
+            const TrafficPattern& traffic, double injection_rate,
+            const FlitSimConfig& config, const fault::FaultSchedule& faults);
   FlitSimResult run();
 
  private:
@@ -476,7 +269,6 @@ class EventCore {
   void rebuild_live_ports();
 
   const Topology& topology_;
-  const InjectionPlan& plan_;
   const FlitSimConfig& config_;
   const fault::FaultSchedule& faults_;
   size_t modules_ = 0;
@@ -488,6 +280,7 @@ class EventCore {
   u64 measure_end_ = 0;
   u32 depth_ = 0;
 
+  std::vector<bool> dst_used_;
   PortTable ports_;
   // Computed next-hop for regular meshes under dimension-order routing:
   // replaces the O(routers^2) port table with O(routers) state. Faults
@@ -525,10 +318,14 @@ class EventCore {
   /// costs a byte load instead of a meta decode + port-table walk —
   /// and refreshed wholesale when a fault rebuild changes the table.
   std::vector<u8> pp_;
-  // Cursor into the plan's injection stream and the next offer cycle
-  // per router.
+  // Precomputed injection schedule (cycle-major per router, meta-word
+  // entries), the next offer cycle per router, and the global
+  // measured-offer count.
+  std::vector<size_t> inj_off_;
   std::vector<size_t> inj_cur_;
   std::vector<u64> inj_next_;  ///< next offer cycle, kNever when spent
+  std::vector<u64> inj_;
+  u64 injected_total_ = 0;
   // Wheel geometry.
   size_t W_ = 0;
   u64 wmask_ = 0;
@@ -554,19 +351,58 @@ class EventCore {
 };
 
 EventCore::EventCore(const Topology& topology, const Routing& routing,
-                     const InjectionPlan& plan, const FlitSimConfig& config,
+                     const TrafficPattern& traffic, double injection_rate,
+                     const FlitSimConfig& config,
                      const fault::FaultSchedule& faults)
-    : topology_(topology), plan_(plan), config_(config), faults_(faults) {
+    : topology_(topology), config_(config), faults_(faults) {
   modules_ = topology.module_count();
   routers_ = topology.router_count();
   channels_ = topology.link_count();
+  if (traffic.modules() != modules_) {
+    throw std::invalid_argument("simulate_network: traffic mismatch");
+  }
   delay_ = config.router_delay_cycles;
   total_ = config.warmup_cycles + config.measure_cycles + config.drain_cycles;
   measure_begin_ = config.warmup_cycles;
   measure_end_ = config.warmup_cycles + config.measure_cycles;
+  // The wheel bounds wake horizons by the pipeline delay, so a zero
+  // delay would allow same-cycle wakes; the rest are packing limits.
+  if (delay_ < 1 || routers_ >= (size_t{1} << kDstBits) ||
+      total_ + delay_ >= (u64{1} << kCycBits) ||
+      config.buffer_depth >= (size_t{1} << 16)) {
+    throw std::invalid_argument(
+        "simulate_network: config outside the event core's limits (needs "
+        "router_delay_cycles >= 1, routers < 2^26, "
+        "warmup+measure+drain+delay < 2^37, buffer depth < 2^16)");
+  }
   depth_ = static_cast<u32>(config.buffer_depth);
 
   chaos_ = !faults.events.empty();
+
+  // --- traffic cdf + used destinations (identical to the oracle;
+  // the sampler clamps to the last module, so its router is routable).
+  // Implicit patterns never build the O(modules^2) CDF: destinations
+  // come from the closed-form sampler, and any router may be a target.
+  const bool implicit = traffic.implicit_form();
+  std::vector<double> cdf;
+  dst_used_.assign(routers_, implicit);
+  if (!implicit) {
+    cdf.resize(modules_ * modules_);
+    for (size_t s = 0; s < modules_; ++s) {
+      double acc = 0.0;
+      for (size_t d = 0; d < modules_; ++d) {
+        const double p = traffic.probability(s, d);
+        acc += p;
+        cdf[s * modules_ + d] = acc;
+        if (p > 0.0) dst_used_[topology.module_router(d)] = true;
+      }
+    }
+    if (modules_ > 0) dst_used_[topology.module_router(modules_ - 1)] = true;
+  }
+  std::vector<size_t> module_router(modules_);
+  for (size_t d = 0; d < modules_; ++d) {
+    module_router[d] = topology.module_router(d);
+  }
 
   // --- next-hop state. A regular mesh under dimension-order routing
   // gets the computed O(routers) grid (the port it yields is the dense
@@ -579,7 +415,7 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
   }
   use_grid_ = grid_.has_value();
   if (!use_grid_) {
-    ports_ = build_port_table(topology, routing, plan.dst_used);
+    ports_ = build_port_table(topology, routing, dst_used_);
   }
 
   // --- flat output arrays + input-channel lists.
@@ -654,8 +490,13 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
   while (W_ < static_cast<size_t>(delay_) + 2) W_ <<= 1;
   wmask_ = W_ - 1;
 
-  // --- shards: the plan's contiguous balanced ranges.
-  S_ = plan.gw.size();
+  // --- shards: contiguous balanced ranges.
+  S_ = config.partitions != 0 ? config.partitions
+                              : (config.threads != 0
+                                     ? config.threads
+                                     : std::max<size_t>(
+                                           1, std::thread::hardware_concurrency()));
+  S_ = std::max<size_t>(1, std::min(S_, std::max<size_t>(routers_, 1)));
   T_ = config.threads != 0
            ? config.threads
            : std::max<size_t>(1, std::thread::hardware_concurrency());
@@ -665,9 +506,8 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
   for (size_t k = 0; k < S_; ++k) {
     auto sh = std::make_unique<Shard>();
     sh->id = static_cast<u32>(k);
-    sh->begin = shard_begin(k, S_, routers_);
-    sh->end = shard_begin(k + 1, S_, routers_);
-    sh->gw = plan.gw[k];
+    sh->begin = static_cast<u32>(k * routers_ / S_);
+    sh->end = static_cast<u32>((k + 1) * routers_ / S_);
     for (u32 r = sh->begin; r < sh->end; ++r) shard_of_[r] = sh->id;
     if (sh->end > sh->begin) {
       sh->word_base = sh->begin >> 6;
@@ -707,12 +547,120 @@ EventCore::EventCore(const Topology& topology, const Routing& routing,
     }
   }
 
-  // --- injection cursors at each router's first offer.
-  inj_cur_.assign(plan.off.begin(), plan.off.end() - 1);
-  inj_next_.assign(routers_, kNever);
-  for (size_t r = 0; r < routers_; ++r) {
-    if (plan.off[r + 1] > plan.off[r]) {
-      inj_next_[r] = plan.stream[plan.off[r]] & kCycMask;
+  // --- injection precompute: one pass over the oracle's exact RNG draw
+  // sequence (bernoulli, then uniform + lower_bound on a hit) for every
+  // (cycle < measure_end, module) pair. The stream is state-independent,
+  // so materialising it up front cannot change it. Hits append to one
+  // flat draw-order buffer and a stable counting sort by source router
+  // produces the per-router cycle-major streams.
+  inj_off_.assign(routers_ + 1, 0);
+  {
+    const u64 inj_end = std::min(measure_end_, total_);
+    // Guide table: g[m * K + k] = lower_bound(row_m, k / K). The per-hit
+    // search resumes near where lower_bound would land; the guard loops
+    // below re-run the oracle's comparisons (row[d] < u), so the sampled
+    // destination is bit-identical even at bucket-boundary roundoff.
+    // Implicit patterns have no CDF and need no guide.
+    const size_t K = implicit ? 0 : modules_;
+    const double Kd = static_cast<double>(K);
+    std::vector<u32> guide(modules_ * K);
+    for (size_t m = 0; m < modules_ && !implicit; ++m) {
+      const double* row = &cdf[m * modules_];
+      size_t i = 0;
+      for (size_t k = 0; k < K; ++k) {
+        const double lo = static_cast<double>(k) / Kd;
+        while (i < modules_ && row[i] < lo) ++i;
+        guide[m * K + k] = static_cast<u32>(i);
+      }
+    }
+    // bernoulli(p) draws one generator step x and tests
+    // (x >> 11) * 2^-53 < p; the power-of-two product is exact, so the
+    // test is equivalently (x >> 11) < ceil(p * 2^53) in pure integer
+    // space — the branch no longer waits on an int->double conversion.
+    const u64 thresh =
+        injection_rate <= 0.0
+            ? 0
+            : injection_rate >= 1.0
+                  ? (u64{1} << 53)
+                  : static_cast<u64>(std::ceil(injection_rate * 0x1.0p53));
+    std::vector<u64> tmp_meta;
+    std::vector<u32> tmp_r;
+    const double est = injection_rate * static_cast<double>(inj_end) *
+                       static_cast<double>(modules_);
+    size_t cap_tmp = static_cast<size_t>(est * 1.10) + 4096;
+    tmp_meta.resize(cap_tmp);
+    tmp_r.resize(cap_tmp);
+    u64* tm = tmp_meta.data();
+    u32* tr = tmp_r.data();
+    size_t n = 0;
+    size_t n_at_begin = kNever;
+    Rng rng(config.seed);
+    for (u64 cycle = 0; cycle < inj_end; ++cycle) {
+      if (cycle == measure_begin_) n_at_begin = n;
+      const u64 mbit =
+          cycle >= measure_begin_ && cycle < measure_end_ ? u64{1} << 63 : 0;
+      if (n + modules_ > cap_tmp) {
+        cap_tmp = cap_tmp * 2 + modules_;
+        tmp_meta.resize(cap_tmp);
+        tmp_r.resize(cap_tmp);
+        tm = tmp_meta.data();
+        tr = tmp_r.data();
+      }
+      for (size_t m = 0; m < modules_; ++m) {
+        // The Bernoulli hit test consumes one generator step, exactly
+        // like the oracle loop's rng.bernoulli; on a hit the dense path
+        // draws one uniform for its CDF search and the implicit path
+        // hands the RNG to the pattern's closed-form sampler. Either
+        // way the stream never depends on network state.
+        const u64 x = rng.raw();
+        if ((x >> 11) >= thresh) continue;
+        size_t d;
+        if (implicit) {
+          d = traffic.sample(rng, m);
+        } else {
+          const double u = rng.uniform();
+          const double* row = &cdf[m * modules_];
+          size_t k = static_cast<size_t>(u * Kd);
+          if (k >= K) k = K - 1;
+          d = guide[m * K + k];
+          while (d > 0 && row[d - 1] >= u) --d;
+          while (d < modules_ && row[d] < u) ++d;
+          if (d >= modules_) d = modules_ - 1;
+        }
+        tm[n] = cycle | (static_cast<u64>(module_router[d]) << kCycBits) | mbit;
+        tr[n] = static_cast<u32>(module_router[m]);
+        ++n;
+      }
+    }
+    injected_total_ = n - (n_at_begin == kNever ? n : n_at_begin);
+    // Histogram + injection-wake streams in one post-pass (draw order is
+    // cycle-major, so consecutive-duplicate dedup matches the inline
+    // form), then a stable counting-sort scatter into per-router
+    // cycle-major streams.
+    std::vector<size_t> count(routers_, 0);
+    u64 last_gw = kNever;
+    for (size_t i = 0; i < n; ++i) {
+      const u32 r = tr[i];
+      ++count[r];
+      const u64 gw_entry = ((tm[i] & kCycMask) << kRouterBits) | r;
+      if (gw_entry != last_gw) {
+        last_gw = gw_entry;
+        shards_[shard_of_[r]]->gw.push_back(gw_entry);
+      }
+    }
+    for (size_t r = 0; r < routers_; ++r) {
+      inj_off_[r + 1] = inj_off_[r] + count[r];
+    }
+    inj_.resize(inj_off_[routers_]);
+    std::vector<size_t> at(inj_off_.begin(), inj_off_.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      inj_[at[tr[i]]++] = tm[i];
+    }
+    inj_cur_ = inj_off_;  // cursor starts at each router's first entry
+    inj_cur_.pop_back();
+    inj_next_.assign(routers_, kNever);
+    for (size_t r = 0; r < routers_; ++r) {
+      if (count[r] > 0) inj_next_[r] = inj_[inj_off_[r]] & kCycMask;
     }
   }
 
@@ -999,8 +947,8 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
     if (!open) return;
     if (inj_next_[r] > c) return;
     size_t cur = inj_cur_[r];
-    const size_t end = plan_.off[r + 1];
-    const u64* const inj = plan_.stream.data();
+    const size_t end = inj_off_[r + 1];
+    const u64* const inj = inj_.data();
     u64 e = 0;
     while (cur < end && (e = inj[cur], (e & kCycMask) <= c)) {
       const u32 dstr = static_cast<u32>(e >> kCycBits) & kDstMask;
@@ -1217,10 +1165,10 @@ void EventCore::apply_faults_at(const u64 cycle) {
     // future measured offers are counted as dropped at the source (the
     // oracle loop counts them one by one at their injection cycles; the
     // totals are identical because the stream is precomputed).
-    for (size_t i = inj_cur_[r]; i < plan_.off[r + 1]; ++i) {
-      if (plan_.stream[i] >> 63) ++fault_dropped_;
+    for (size_t i = inj_cur_[r]; i < inj_off_[r + 1]; ++i) {
+      if (inj_[i] >> 63) ++fault_dropped_;
     }
-    inj_cur_[r] = plan_.off[r + 1];
+    inj_cur_[r] = inj_off_[r + 1];
     inj_next_[r] = kNever;
     changed = true;
   }
@@ -1235,7 +1183,7 @@ void EventCore::rebuild_live_ports() {
   std::vector<u32> bfs_queue(routers_);
   constexpr u32 kUnset = 0xFFFFFFFFu;
   for (size_t dst = 0; dst < routers_; ++dst) {
-    if (!plan_.dst_used[dst]) continue;
+    if (!dst_used_[dst]) continue;
     std::fill(dist.begin(), dist.end(), kUnset);
     size_t qhead = 0;
     size_t qtail = 0;
@@ -1386,7 +1334,7 @@ FlitSimResult EventCore::run() {
     result.route_failures.push_back(fails[i].status);
   }
   result.delivered = static_cast<size_t>(delivered);
-  result.injected = static_cast<size_t>(plan_.injected_total);
+  result.injected = static_cast<size_t>(injected_total_);
   result.dropped = static_cast<size_t>(fault_dropped_);
   result.unreachable = static_cast<size_t>(unreachable);
   result.dead_links = static_cast<size_t>(dead_links_);
@@ -1422,27 +1370,8 @@ FlitSimResult simulate_network(const Topology& topology,
                                double injection_rate,
                                const FlitSimConfig& config,
                                const fault::FaultSchedule& faults) {
-  return simulate_network(topology, routing, traffic, injection_rate, config,
-                          std::span(&faults, 1))[0];
-}
-
-std::vector<FlitSimResult> simulate_network(
-    const Topology& topology, const Routing& routing,
-    const TrafficPattern& traffic, double injection_rate,
-    const FlitSimConfig& config,
-    std::span<const fault::FaultSchedule> schedules) {
-  check_limits(topology, traffic, config);
-  std::vector<FlitSimResult> results;
-  if (schedules.empty()) return results;
-  const InjectionPlan plan(topology, traffic, injection_rate, config);
-  results.reserve(schedules.size());
-  for (auto it = schedules.begin(); it != schedules.end(); ++it) {
-    const auto same = std::find(schedules.begin(), it, *it);
-    results.push_back(
-        same != it ? results[static_cast<size_t>(same - schedules.begin())]
-                   : EventCore(topology, routing, plan, config, *it).run());
-  }
-  return results;
+  EventCore core(topology, routing, traffic, injection_rate, config, faults);
+  return core.run();
 }
 
 }  // namespace wi::noc

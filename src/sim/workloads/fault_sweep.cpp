@@ -119,26 +119,23 @@ class FaultSweepRunner final : public WorkloadRunner {
     const std::uint64_t horizon =
         static_cast<std::uint64_t>(s.warmup_cycles + s.measure_cycles);
 
+    const auto baseline = simulate_network(topology, *routing, traffic,
+                                           s.injection_rate, config);
     std::vector<double> rates = s.fail_rates;
     if (rates.empty()) rates = {0.0, 0.02, 0.05, 0.1, 0.2};
-    // One DES call for the fault-free baseline and every row: the
-    // traffic stream is drawn once, and a row whose schedule is empty
-    // (or equal to another row's) reuses that run.
-    std::vector<fault::FaultSchedule> schedules(1);
+    std::size_t noted_failures = 0;
     for (const double rate : rates) {
       fault::FaultSpec row_fault = s.fault;
       row_fault.link_fail_rate = rate;
       row_fault.router_fail_rate = rate * s.router_fail_fraction;
-      schedules.push_back(fault::FaultSchedule::derive(
-          row_fault, topology.link_count(), topology.router_count(), horizon));
-    }
-    const std::vector<noc::FlitSimResult> results = simulate_network(
-        topology, *routing, traffic, s.injection_rate, config, schedules);
-    const noc::FlitSimResult& baseline = results[0];
-    std::size_t noted_failures = 0;
-    for (std::size_t row = 0; row < rates.size(); ++row) {
-      const double rate = rates[row];
-      const noc::FlitSimResult& des = results[row + 1];
+      const auto schedule = fault::FaultSchedule::derive(
+          row_fault, topology.link_count(), topology.router_count(), horizon);
+      // An empty schedule (rate 0) is bit-identical to the baseline.
+      const auto des =
+          schedule.empty()
+              ? baseline
+              : simulate_network(topology, *routing, traffic,
+                                 s.injection_rate, config, schedule);
       const double degraded =
           baseline.delivered_per_cycle > 0.0
               ? 1.0 - des.delivered_per_cycle / baseline.delivered_per_cycle

@@ -1,8 +1,8 @@
 /// \file test_flit_sim_event.cpp
 /// \brief Event-wheel core specifics: wheel quiescence, degenerate
 ///        topologies, partition-count bit-identity, fault activations
-///        landing on partition window boundaries, credit wakes under
-///        campaign fault schedules, and the multi-schedule overload.
+///        landing on partition window boundaries, and credit wakes
+///        under campaign fault schedules.
 ///
 /// The golden tests pin the event core against the committed result
 /// files; this file pins it against the cycle-stepped oracle
@@ -190,10 +190,10 @@ struct CampaignReplica {
   FlitSimConfig config;
 };
 
-/// Oracle vs the multi-schedule overload at 1, 2 and 4 partitions (one
-/// thread per partition). Full rings, reroutes and deadlocks are where
-/// a head waits for a credit instead of polling, so a missed wake shows
-/// up as a diverging statistic.
+/// Oracle vs the event core at 1, 2 and 4 partitions (one thread per
+/// partition), for each schedule. Full rings, reroutes and deadlocks
+/// are where a head waits for a credit instead of polling, so a missed
+/// wake shows up as a diverging statistic.
 void expect_matches_oracle(const Topology& topology, const Routing& routing,
                            const TrafficPattern& traffic, double load,
                            const FlitSimConfig& config,
@@ -207,13 +207,12 @@ void expect_matches_oracle(const Topology& topology, const Routing& routing,
     FlitSimConfig event = config;
     event.partitions = parts;
     event.threads = parts;
-    const auto got =
-        simulate_network(topology, routing, traffic, load, event, faults);
-    ASSERT_EQ(got.size(), faults.size());
     for (std::size_t i = 0; i < faults.size(); ++i) {
       SCOPED_TRACE(testing::Message() << "partitions=" << parts
                                       << " schedule=" << i);
-      expect_identical(expected[i], got[i]);
+      expect_identical(expected[i], simulate_network(topology, routing,
+                                                     traffic, load, event,
+                                                     faults[i]));
     }
   }
 }
@@ -270,36 +269,6 @@ TEST(FlitSimEvent, ShortestPathOnIrregularMeshUnderFaultsMatchesOracle) {
                                        3500)};
   ASSERT_FALSE(faults[1].empty());
   expect_matches_oracle(t, routing, traffic, 0.3, config, faults);
-}
-
-TEST(FlitSimEvent, ScheduleSpanEqualsOneCallPerSchedule) {
-  const CampaignReplica replica(1);
-  const std::vector<fault::FaultSchedule> faults = {
-      replica.schedule(0.15), {}, replica.schedule(0.05),
-      replica.schedule(0.15)};
-  for (const std::size_t parts : {1u, 4u}) {
-    SCOPED_TRACE(testing::Message() << "partitions=" << parts);
-    FlitSimConfig config = replica.config;
-    config.partitions = parts;
-    config.threads = parts;
-    const auto batch =
-        simulate_network(replica.topology, *replica.routing, replica.traffic,
-                         replica.sweep.injection_rate, config, faults);
-    ASSERT_EQ(batch.size(), faults.size());
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      SCOPED_TRACE(testing::Message() << "schedule=" << i);
-      const auto one =
-          simulate_network(replica.topology, *replica.routing,
-                           replica.traffic, replica.sweep.injection_rate,
-                           config, faults[i]);
-      expect_identical(one, batch[i]);
-      EXPECT_EQ(one.turns_executed, batch[i].turns_executed);
-    }
-  }
-  EXPECT_TRUE(simulate_network(replica.topology, *replica.routing,
-                               replica.traffic, 0.1, replica.config,
-                               std::vector<fault::FaultSchedule>{})
-                  .empty());
 }
 
 TEST(FlitSimEvent, DeadlockedMeshStopsTurningRouters) {

@@ -36,7 +36,6 @@
 #include "wi/noc/mesh_grid.hpp"
 #include "wi/noc/queueing_model.hpp"
 #include "wi/sim/sim.hpp"
-#include "wi/sim/workloads/fault_sweep.hpp"
 
 namespace {
 
@@ -244,59 +243,6 @@ int main(int argc, char** argv) {
           {c.name, opt, base, cycles / opt * 1e3, "Mcycles/s"});
       (void)sink;
     }
-  }
-
-  // --- one fault_sweep replica: four schedules in one call ---
-  // campaign_fault_mesh2d_8x8 at campaign seed index 0: the fault-free
-  // baseline plus the rows at fail rates 0, 0.05 and 0.15, as
-  // fault_sweep runs them. The baseline is the same four schedules run
-  // one simulate_network call each, which redraws the injection stream
-  // per call and runs the empty schedule twice; both give the same
-  // results.
-  {
-    const wi::sim::ScenarioSpec spec = wi::sim::scenario_for_seed(
-        wi::sim::ScenarioRegistry::paper().get("campaign_fault_mesh2d_8x8"),
-        wi::sim::campaign_seed(1, 0));
-    const auto& sweep = spec.payload<wi::sim::FaultSweepSpec>();
-    const wi::noc::Topology topo = spec.noc.topology.build();
-    const auto routing = spec.noc.build_routing();
-    const wi::noc::TrafficPattern traffic =
-        spec.noc.build_traffic(topo.module_count());
-    const wi::noc::FlitSimConfig config = spec.noc.des_config(
-        {sweep.warmup_cycles, sweep.measure_cycles, sweep.drain_cycles,
-         sweep.buffer_depth, sweep.seed});
-    std::vector<wi::fault::FaultSchedule> schedules(1);
-    for (const double rate : sweep.fail_rates) {
-      wi::fault::FaultSpec fault = sweep.fault;
-      fault.link_fail_rate = rate;
-      fault.router_fail_rate = rate * sweep.router_fail_fraction;
-      schedules.push_back(wi::fault::FaultSchedule::derive(
-          fault, topo.link_count(), topo.router_count(),
-          sweep.warmup_cycles + sweep.measure_cycles));
-    }
-    volatile std::size_t sink = 0;
-    const double one_each = time_ns(
-        [&] {
-          for (const auto& schedule : schedules) {
-            sink = wi::noc::simulate_network(topo, *routing, traffic,
-                                             sweep.injection_rate, config,
-                                             schedule)
-                       .delivered;
-          }
-        },
-        reps_slow);
-    const double shared = time_ns(
-        [&] {
-          sink = wi::noc::simulate_network(topo, *routing, traffic,
-                                           sweep.injection_rate, config,
-                                           schedules)
-                     .back()
-                     .delivered;
-        },
-        reps_slow);
-    push_entry(entries, {"simulate_network/fault_sweep_mesh2d_8x8", shared,
-                         one_each, 0.0, ""});
-    (void)sink;
   }
 
   // --- PhyAbstraction SNR-curve build (17 sequence-rate grid points) ---
