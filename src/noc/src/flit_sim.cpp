@@ -90,7 +90,14 @@ using u64 = std::uint64_t;
 constexpr u64 kNever = ~u64{0};
 constexpr u8 kNoPort = 0xFF;      ///< pair never routed (unused dst)
 constexpr u8 kFailedPort = 0xFE;  ///< routing failed; Status recorded
-constexpr u8 kEject = 0xFD;       ///< cached port: flit is at its dst
+/// No live next hop after a fault reroute, by cause; route_failure()
+/// formats the oracle's Status from the byte.
+constexpr u8 kRouterFailedPort = 0xFD;
+constexpr u8 kNoRoutePort = 0xFC;
+constexpr u8 kDstFailedPort = 0xFB;
+/// Cached port: flit is at its dst. Bytes below it are output ports;
+/// bytes above it mark pairs without one.
+constexpr u8 kEject = 0xFA;
 constexpr size_t kMaxRouteFailures = 8;
 /// Flit meta word: inject cycle | dst router << 37 | measured << 63.
 constexpr unsigned kCycBits = 37;
@@ -134,13 +141,13 @@ PortTable build_port_table(const Topology& topology, const Routing& routing,
   table.port.assign(routers * routers, kNoPort);
   for (size_t at = 0; at < routers; ++at) {
     const auto& outs = topology.out_links(at);
-    if (outs.size() >= kFailedPort) {
+    if (outs.size() >= kEject) {
       throw StatusError(Status(
           StatusCode::kExecutionError,
           "simulate_network: router " + std::to_string(at) + " has " +
               std::to_string(outs.size()) +
               " output ports; the event core's byte-wide port table "
-              "supports at most 253"));
+              "supports at most 249"));
     }
     for (size_t dst = 0; dst < routers; ++dst) {
       if (at == dst || !dst_used[dst]) continue;
@@ -230,7 +237,8 @@ struct Shard {
   struct Fail {
     u64 cycle;
     u32 router;
-    Status status;
+    u32 dst;
+    u8 port;  ///< the pair's failure marker when it was hit
   };
   std::vector<Fail> fails;
   /// Completed-cycle progress, encoded as completed+1 (0 = none yet).
@@ -267,6 +275,7 @@ class EventCore {
   bool step(Shard& sh);
   void apply_faults_at(u64 cycle);
   void rebuild_live_ports();
+  [[nodiscard]] Status route_failure(const Shard::Fail& fail) const;
 
   const Topology& topology_;
   const FlitSimConfig& config_;
@@ -726,13 +735,15 @@ void EventCore::drop_unroutable(Shard& sh, const u32 r, const u64 c,
                                 const u32 dstr, const bool measured,
                                 const u8 p) {
   const size_t key = static_cast<size_t>(r) * routers_ + dstr;
-  if (chaos_ && p == kFailedPort) {
+  if (chaos_ && p != kNoPort) {
     // Destination cut off by a fault: drop, surface the Status once
-    // per (source, destination) pair, never throw.
+    // per (source, destination) pair, never throw. The marker is kept
+    // now (a later reroute may change it); the message is formatted
+    // only for the failures the merge keeps.
     if (measured) ++sh.unreachable;
     if (!seen_[key]) {
       seen_[key] = 1;
-      sh.fails.push_back({c, r, ports_.failures.at(key)});
+      sh.fails.push_back({c, r, dstr, p});
     }
     return;
   }
@@ -920,7 +931,7 @@ void EventCore::turn(Shard& sh, const u32 r, const u64 c) {
     if constexpr (!GRID) {
       // A full regular mesh always routes, so only the dense table can
       // hold failed/unused markers.
-      if (p >= kFailedPort) {
+      if (p > kEject) {
         drop_unroutable(sh, r, c, dstr, (m >> 63) != 0, p);
         return true;
       }
@@ -1177,7 +1188,8 @@ void EventCore::apply_faults_at(const u64 cycle) {
 
 /// Port-table flavour of the oracle's rebuild_live_routes: one reverse
 /// BFS per used destination over the surviving graph, minimal hops,
-/// ties broken by out-link order. Identical Status rows.
+/// ties broken by out-link order. Failed pairs get the marker byte of
+/// their cause; route_failure() turns it into the oracle's Status row.
 void EventCore::rebuild_live_ports() {
   std::vector<u32> dist(routers_);
   std::vector<u32> bfs_queue(routers_);
@@ -1204,23 +1216,10 @@ void EventCore::rebuild_live_ports() {
     for (size_t at = 0; at < routers_; ++at) {
       if (at == dst) continue;
       const size_t key = at * routers_ + dst;
-      if (!router_alive_[at]) {
-        ports_.port[key] = kFailedPort;
-        ports_.failures[key] =
-            Status(StatusCode::kUnreachableRoute,
-                   "simulate_network: router " + std::to_string(at) +
-                       " failed");
-        continue;
-      }
-      if (dist[at] == kUnset) {
-        ports_.port[key] = kFailedPort;
-        ports_.failures[key] =
-            Status(StatusCode::kUnreachableRoute,
-                   "simulate_network: no live route from router " +
-                       std::to_string(at) + " to router " +
-                       std::to_string(dst) +
-                       (router_alive_[dst] ? " after link/router failures"
-                                           : " (destination router failed)"));
+      if (!router_alive_[at] || dist[at] == kUnset) {
+        ports_.port[key] = !router_alive_[at]  ? kRouterFailedPort
+                           : router_alive_[dst] ? kNoRoutePort
+                                                : kDstFailedPort;
         continue;
       }
       const auto& outs = topology_.out_links(at);
@@ -1251,6 +1250,24 @@ void EventCore::rebuild_live_ports() {
                     : ports_.port[static_cast<size_t>(owner) * routers_ + dstr];
     }
   }
+}
+
+Status EventCore::route_failure(const Shard::Fail& fail) const {
+  if (fail.port == kFailedPort) {
+    return ports_.failures.at(static_cast<size_t>(fail.router) * routers_ +
+                              fail.dst);
+  }
+  const std::string at = std::to_string(fail.router);
+  if (fail.port == kRouterFailedPort) {
+    return {StatusCode::kUnreachableRoute,
+            "simulate_network: router " + at + " failed"};
+  }
+  return {StatusCode::kUnreachableRoute,
+          "simulate_network: no live route from router " + at +
+              " to router " + std::to_string(fail.dst) +
+              (fail.port == kNoRoutePort
+                   ? " after link/router failures"
+                   : " (destination router failed)")};
 }
 
 FlitSimResult EventCore::run() {
@@ -1331,7 +1348,7 @@ FlitSimResult EventCore::run() {
                                                : a.router < b.router;
                    });
   for (size_t i = 0; i < fails.size() && i < kMaxRouteFailures; ++i) {
-    result.route_failures.push_back(fails[i].status);
+    result.route_failures.push_back(route_failure(fails[i]));
   }
   result.delivered = static_cast<size_t>(delivered);
   result.injected = static_cast<size_t>(injected_total_);

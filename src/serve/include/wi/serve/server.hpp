@@ -51,7 +51,11 @@ namespace wi::serve {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral (read back via port())
-  /// Simulation worker threads; 0 = hardware concurrency.
+  /// Simulation worker threads (jobs run at once); 0 = hardware
+  /// concurrency. The engine itself resolves its threads like any other
+  /// SimEngine: each job's rows, PHY curve builds and campaign replicas
+  /// nest on the one process-wide pool (wi::parallel_for), so cores the
+  /// other workers leave idle go to the jobs that are running.
   std::size_t workers = 0;
   /// Bounded admission queue shared by all clients.
   std::size_t queue_capacity = 256;
@@ -65,9 +69,9 @@ struct ServerOptions {
   /// Code-version component of every content key (wire git-describe
   /// through, as wi_run does).
   std::string version = "unversioned";
-  /// Nested engine threads of one run_campaign job (its seed replicas
-  /// parallelize internally; keep small, the worker pool is the outer
-  /// parallelism).
+  /// Seed replicas of one run_campaign job that run at once (the thread
+  /// count Campaign::run passes to SimEngine::run_all). Each replica's
+  /// own work still nests on the shared pool.
   std::size_t campaign_threads = 2;
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Load-shedding watermark: queue depth at or above which new run

@@ -98,14 +98,6 @@ struct Server::Connection {
 
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
-      engine_([&] {
-        sim::EngineOptions engine_options;
-        engine_options.threads = options_.campaign_threads;
-        // The worker pool is the outer parallelism; a cache miss inside
-        // run() must not spawn a nested curve-build pool per worker.
-        engine_options.serial_phy_builds = true;
-        return engine_options;
-      }()),
       hot_tier_(HotTier::Options{options_.hot_capacity == 0
                                      ? std::size_t{1}
                                      : options_.hot_capacity}) {

@@ -40,19 +40,22 @@ struct RunResult {
 
 /// Engine options.
 struct EngineOptions {
+  EngineOptions() = default;
+  /// Also accepts the two-field brace form `EngineOptions{threads, false}`
+  /// of older callers; the flag it carried is gone and the value is
+  /// ignored.
+  constexpr explicit EngineOptions(std::size_t threads,
+                                   bool /*ignored*/ = false)
+      : threads(threads) {}
+
   /// Worker threads for run_all/run_sweep, and for a runner's own
   /// parallelism (WorkloadEnv::threads()); 0 = hardware concurrency.
-  /// Nested calls share one process-wide pool (wi::parallel_for), so
-  /// `wi_run --all` runs fig10's rows and codeword batches in parallel
-  /// beside the other scenarios without oversubscribing the machine.
+  /// Every engine, the wi_serve one included, runs on the one
+  /// process-wide pool (wi::parallel_for): nested calls (PHY curve
+  /// builds, a runner's rows, codeword batches) fill the workers that
+  /// outer callers leave idle and never start a thread beyond the pool.
+  /// With 1, run() keeps a runner's work on the calling thread.
   std::size_t threads = 0;
-  /// Reuse hook for engines embedded in an external worker pool (the
-  /// wi_serve daemon): pin all nested parallelism to one thread, because
-  /// the *callers* are already running run() concurrently. The pin
-  /// covers PHY curve builds on a cache miss and WorkloadEnv::threads()
-  /// (e.g. the Fig. 10 rows of ldpc_latency), so such an engine never
-  /// starts the pool.
-  bool serial_phy_builds = false;
 };
 
 /// Executes scenarios; owns the PHY curve cache shared across runs.

@@ -34,28 +34,15 @@ class PhyCurveCache {
 
   /// Curve for a key; builds on first use, returns the shared instance
   /// afterwards. Blocks (without holding the lock) when another thread
-  /// is currently building the same key.
-  [[nodiscard]] CurvePtr get(const PhyCurveKey& key);
-
-  [[nodiscard]] CurvePtr get(core::PhyReceiver receiver,
-                             double bandwidth_hz = 25e9,
-                             std::size_t polarizations = 2) {
-    return get(PhyCurveKey{receiver, bandwidth_hz, polarizations});
-  }
+  /// is currently building the same key. A build runs its SNR grid on up
+  /// to `threads` workers of the shared pool (0 = one per hardware
+  /// thread; bit-identical at any value); runners pass env.threads().
+  [[nodiscard]] CurvePtr get(const PhyCurveKey& key, std::size_t threads);
 
   /// Lookup statistics (hits = requests served from the cache).
   [[nodiscard]] std::size_t hits() const;
   [[nodiscard]] std::size_t misses() const;
   [[nodiscard]] std::size_t size() const;
-
-  /// Worker threads each curve build may spawn (PhyAbstraction's SNR
-  /// grid; bit-identical at any value). Defaults to 0 = one per
-  /// hardware thread; the engine sets 1 while it is already running
-  /// scenarios in parallel, so curve builds do not oversubscribe.
-  void set_build_threads(std::size_t threads);
-
-  /// Current build-thread setting (0 = one per hardware thread).
-  [[nodiscard]] std::size_t build_threads() const;
 
  private:
   struct Entry {
@@ -67,7 +54,6 @@ class PhyCurveCache {
   std::vector<Entry> entries_;  // few receiver configs: linear scan
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-  std::size_t build_threads_ = 0;
 };
 
 }  // namespace wi::sim

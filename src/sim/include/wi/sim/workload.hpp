@@ -49,8 +49,9 @@ class WorkloadEnv {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   /// Workers a runner may use for independent parts of one scenario
-  /// (>= 1). The engine passes 1 where scenarios already run in
-  /// parallel, so results must not depend on this value.
+  /// (>= 1): the engine's resolved thread count, passed to
+  /// wi::parallel_for, which nests on the shared pool. Results must not
+  /// depend on this value.
   [[nodiscard]] std::size_t threads() const { return threads_; }
 
   /// Result hook: appends one line to the RunResult's notes.

@@ -10,9 +10,7 @@
 
 namespace wi::sim {
 
-SimEngine::SimEngine(EngineOptions options) : options_(options) {
-  if (options_.serial_phy_builds) phy_cache_.set_build_threads(1);
-}
+SimEngine::SimEngine(EngineOptions options) : options_(options) {}
 
 std::size_t SimEngine::resolve_threads(std::size_t requested) const {
   std::size_t threads = requested != 0 ? requested : options_.threads;
@@ -32,11 +30,7 @@ RunResult SimEngine::run(const ScenarioSpec& spec) {
     if (result.status.is_ok()) {
       const WorkloadRunner& runner =
           WorkloadRegistry::global().get(spec.workload);
-      // A serial_phy_builds engine keeps a runner's own pool to one
-      // thread too; everywhere else nested calls share the one pool.
-      WorkloadEnv env(phy_cache_, /*seed=*/0,
-                      phy_cache_.build_threads() == 1 ? 1
-                                                      : resolve_threads(0));
+      WorkloadEnv env(phy_cache_, /*seed=*/0, resolve_threads(0));
       result.table = runner.run(spec, env);
       result.notes = std::move(env.notes());
     }

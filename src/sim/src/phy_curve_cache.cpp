@@ -2,11 +2,11 @@
 
 namespace wi::sim {
 
-PhyCurveCache::CurvePtr PhyCurveCache::get(const PhyCurveKey& key) {
+PhyCurveCache::CurvePtr PhyCurveCache::get(const PhyCurveKey& key,
+                                            std::size_t threads) {
   std::promise<CurvePtr> promise;
   std::shared_future<CurvePtr> future;
   bool builder = false;
-  std::size_t build_threads = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const Entry& entry : entries_) {
@@ -21,7 +21,6 @@ PhyCurveCache::CurvePtr PhyCurveCache::get(const PhyCurveKey& key) {
       future = promise.get_future().share();
       entries_.push_back({key, future});
       builder = true;
-      build_threads = build_threads_;
     }
   }
   if (builder) {
@@ -29,8 +28,7 @@ PhyCurveCache::CurvePtr PhyCurveCache::get(const PhyCurveKey& key) {
     // must not serialise builds of other keys.
     try {
       promise.set_value(std::make_shared<const core::PhyAbstraction>(
-          key.receiver, key.bandwidth_hz, key.polarizations,
-          build_threads));
+          key.receiver, key.bandwidth_hz, key.polarizations, threads));
     } catch (...) {
       // Evict before publishing the failure: current waiters see the
       // exception, but later requests rebuild instead of rethrowing a
@@ -64,16 +62,6 @@ std::size_t PhyCurveCache::misses() const {
 std::size_t PhyCurveCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
-}
-
-void PhyCurveCache::set_build_threads(std::size_t threads) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  build_threads_ = threads;
-}
-
-std::size_t PhyCurveCache::build_threads() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return build_threads_;
 }
 
 }  // namespace wi::sim

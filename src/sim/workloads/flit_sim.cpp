@@ -4,6 +4,7 @@
 
 #include "wi/sim/workloads/flit_sim.hpp"
 
+#include "wi/common/parallel.hpp"
 #include "wi/noc/flit_sim.hpp"
 #include "wi/sim/spec_codec.hpp"
 #include "wi/sim/workload.hpp"
@@ -86,16 +87,21 @@ class FlitSimRunner final : public WorkloadRunner {
     const noc::FlitSimConfig config = spec.noc.des_config(des_run(flit));
     std::vector<double> rates = flit.injection_rates;
     if (rates.empty()) rates = {0.05, 0.1, 0.15, 0.2};
-    for (const double rate : rates) {
+    // One DES per injection rate on the shared pool: each call reads the
+    // built topology, routing and traffic and owns its state, so the
+    // table (spec order) is identical at every thread count.
+    std::vector<std::vector<std::string>> rows(rates.size());
+    parallel_for(rates.size(), env.threads(), [&](std::size_t i) {
       const auto des =
-          simulate_network(topology, *routing, traffic, rate, config);
-      table.add_row(
-          {Table::num(rate, 3), Table::num(des.mean_latency_cycles, 4),
-           Table::num(des.delivered_per_cycle, 5),
-           Table::num(static_cast<long long>(des.delivered)),
-           Table::num(static_cast<long long>(des.injected)),
-           des.stable ? "yes" : "no"});
-    }
+          simulate_network(topology, *routing, traffic, rates[i], config);
+      rows[i] = {Table::num(rates[i], 3),
+                 Table::num(des.mean_latency_cycles, 4),
+                 Table::num(des.delivered_per_cycle, 5),
+                 Table::num(static_cast<long long>(des.delivered)),
+                 Table::num(static_cast<long long>(des.injected)),
+                 des.stable ? "yes" : "no"};
+    });
+    for (auto& row : rows) table.add_row(std::move(row));
     env.note("topology: " + topology.name());
     env.note("DES window: " +
              Table::num(static_cast<long long>(flit.measure_cycles)) +

@@ -37,7 +37,8 @@ class LinkPlanRunner final : public WorkloadRunner {
     const core::WirelessLinkPlanner planner(spec.link.budget,
                                             spec.link.beamforming);
     const auto curve = env.phy_cache().get(
-        spec.phy.receiver, spec.phy.bandwidth_hz, spec.phy.polarizations);
+        {spec.phy.receiver, spec.phy.bandwidth_hz, spec.phy.polarizations},
+        env.threads());
     const core::BoardGeometry geometry(
         spec.geometry.boards, spec.geometry.board_size_mm,
         spec.geometry.separation_mm, spec.geometry.nodes_per_edge);

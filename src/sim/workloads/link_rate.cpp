@@ -36,7 +36,8 @@ class LinkRateRunner final : public WorkloadRunner {
     Table table(headers());
     const rf::LinkBudget budget(spec.link.budget);
     const auto curve = env.phy_cache().get(
-        spec.phy.receiver, spec.phy.bandwidth_hz, spec.phy.polarizations);
+        {spec.phy.receiver, spec.phy.bandwidth_hz, spec.phy.polarizations},
+        env.threads());
     const core::BoardGeometry geometry(
         spec.geometry.boards, spec.geometry.board_size_mm,
         spec.geometry.separation_mm, spec.geometry.nodes_per_edge);

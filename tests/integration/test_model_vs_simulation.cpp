@@ -128,7 +128,7 @@ TEST(ModelVsDes, CampaignMeanLatencyTracksQueueingModel) {
   flit.measure_cycles = 5000;
   flit.injection_rates = rates;
 
-  sim::SimEngine engine({2});
+  sim::SimEngine engine(sim::EngineOptions{2});
   const sim::Campaign campaign(spec);
   const sim::CampaignResult result = campaign.run(engine);
   ASSERT_TRUE(result.ok()) << result.status.to_string();

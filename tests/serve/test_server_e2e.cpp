@@ -20,7 +20,9 @@
 #include <thread>
 #include <vector>
 
+#include "wi/common/table_io.hpp"
 #include "wi/serve/client.hpp"
+#include "wi/sim/campaign.hpp"
 #include "wi/sim/registry.hpp"
 #include "wi/sim/workload.hpp"
 
@@ -425,6 +427,28 @@ TEST(ServerE2e, CampaignsDedupLikeScenarios) {
   const Response third = fixture.call(request);
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(third.tier, "run");
+}
+
+TEST(ServerE2e, SaltedRowParallelRunsMatchAOneThreadEngine) {
+  // The server's engine runs a job's Fig. 6 SNR rows and flit DES rates
+  // on the shared pool; the reply must be the one-thread engine's table,
+  // byte for byte.
+  ServerFixture fixture(fast_options());
+  sim::SimEngine serial(sim::EngineOptions{1});
+  for (const std::string name :
+       {"fig06_info_rates", "flit_hotspot_mesh2d_16x16"}) {
+    Request request = run_by_name(name, "salted-" + name);
+    request.seed = 4242;
+    const Response response = fixture.call(request);
+    ASSERT_TRUE(response.ok()) << name << ": " << response.status.to_string();
+    EXPECT_EQ(response.tier, "run") << name;
+    ASSERT_TRUE(response.result.has_value()) << name;
+    const sim::RunResult want = serial.run(sim::scenario_for_seed(
+        sim::ScenarioRegistry::paper().get(name), request.seed));
+    ASSERT_TRUE(want.ok()) << name << ": " << want.status.to_string();
+    EXPECT_EQ(to_csv(response.result->table), to_csv(want.table)) << name;
+    EXPECT_EQ(response.result->notes, want.notes) << name;
+  }
 }
 
 TEST(ServerE2e, ShutdownDrainsAcceptedWorkBeforeAnswering) {

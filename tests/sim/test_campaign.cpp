@@ -135,7 +135,7 @@ TEST(CampaignAggregate, ShapeMismatchThrows) {
 
 TEST(Campaign, RunAggregatesAllSeeds) {
   const Campaign campaign(flit_campaign(3));
-  SimEngine engine({1});
+  SimEngine engine(EngineOptions{1});
   const CampaignResult result = campaign.run(engine);
   ASSERT_TRUE(result.ok()) << result.status.to_string();
   EXPECT_EQ(result.per_seed.size(), 3u);
@@ -161,7 +161,7 @@ TEST(Campaign, FailedReplicaFailsTheCampaign) {
   broken.scenario.noc.topology.ky = 3;
   broken.scenario.noc.traffic = TrafficKind::kBitComplement;
   const Campaign campaign(broken);
-  SimEngine engine({1});
+  SimEngine engine(EngineOptions{1});
   const CampaignResult result = campaign.run(engine);
   EXPECT_FALSE(result.ok());
   EXPECT_NE(result.status.message().find("seed replicas failed"),
@@ -198,7 +198,7 @@ TEST(Campaign, StoreMakesRepeatRunsFullCacheHits) {
       fs::temp_directory_path() / "wi_campaign_store_test";
   fs::remove_all(dir);
   const Campaign campaign(flit_campaign(4));
-  SimEngine engine({2});
+  SimEngine engine(EngineOptions{2});
   {
     ResultStore store({dir, "v1"});
     const CampaignResult first = campaign.run(engine, &store);
@@ -221,7 +221,7 @@ TEST(Campaign, InterruptedCampaignResumesPerSeed) {
       fs::temp_directory_path() / "wi_campaign_resume_test";
   fs::remove_all(dir);
   const CampaignSpec spec = flit_campaign(4);
-  SimEngine engine({1});
+  SimEngine engine(EngineOptions{1});
   // "Interrupted" campaign: only replicas 0 and 2 were persisted.
   {
     ResultStore store({dir, "v1"});
@@ -245,7 +245,7 @@ TEST(Campaign, InterruptedCampaignResumesPerSeed) {
 
 TEST(CampaignCi, GoldenInsideCiPasses) {
   const Campaign campaign(flit_campaign(4));
-  SimEngine engine({1});
+  SimEngine engine(EngineOptions{1});
   const CampaignResult result = campaign.run(engine);
   ASSERT_TRUE(result.ok());
   // Same aggregate as golden: trivially inside its own CI.

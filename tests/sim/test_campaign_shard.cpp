@@ -91,7 +91,7 @@ TEST(CampaignShard, ShardsPartitionTheSeedScheduleExactlyOnce) {
 
 TEST_F(CampaignShardTest, ShardedWorkersMergeBitIdenticalToSingleProcess) {
   const CampaignSpec spec = small_campaign(12);
-  SimEngine engine({2});
+  SimEngine engine(EngineOptions{2});
 
   // Reference: the classic single-process campaign (no store).
   const CampaignResult reference =
@@ -126,7 +126,7 @@ TEST_F(CampaignShardTest, ShardedWorkersMergeBitIdenticalToSingleProcess) {
 
 TEST_F(CampaignShardTest, MergeReportsMissingSeedsAndStaysPartial) {
   const CampaignSpec spec = small_campaign(9);
-  SimEngine engine({2});
+  SimEngine engine(EngineOptions{2});
 
   // Only shard 0 of 3 ever ran: seeds 0, 3, 6 are in the store.
   {
@@ -154,7 +154,7 @@ TEST_F(CampaignShardTest, MergeReportsMissingSeedsAndStaysPartial) {
 
 TEST_F(CampaignShardTest, MergeDegradesCorruptEntriesToMissing) {
   const CampaignSpec spec = small_campaign(6);
-  SimEngine engine({2});
+  SimEngine engine(EngineOptions{2});
   {
     ResultStore store({dir_, "v1"});
     const CampaignResult all = Campaign(spec).run(engine, &store, 2);
@@ -181,7 +181,7 @@ TEST_F(CampaignShardTest, MergeDegradesCorruptEntriesToMissing) {
 
 TEST_F(CampaignShardTest, MergeDegradesShapeMismatchedEntriesToMissing) {
   const CampaignSpec spec = small_campaign(4);
-  SimEngine engine({2});
+  SimEngine engine(EngineOptions{2});
   {
     ResultStore store({dir_, "v1"});
     const CampaignResult all = Campaign(spec).run(engine, &store, 2);
@@ -220,7 +220,7 @@ TEST_F(CampaignShardTest, WorkerRecomputesCorruptEntriesInsteadOfAborting) {
   // (left by a crashed peer) must be recomputed on the next campaign
   // run — never abort it, never lose the seed.
   const CampaignSpec spec = small_campaign(4);
-  SimEngine engine({2});
+  SimEngine engine(EngineOptions{2});
   Table reference;
   {
     ResultStore store({dir_, "v1"});
@@ -253,7 +253,7 @@ TEST_F(CampaignShardTest, MergedAggregateMatchesStoreFreeRunAfterResume) {
   const CampaignSpec eight = small_campaign(8);
   CampaignSpec twelve = eight;
   twelve.seeds = 12;
-  SimEngine engine({2});
+  SimEngine engine(EngineOptions{2});
 
   for (const std::size_t i : {0u, 1u}) {
     ResultStore store({dir_, "v1"});

@@ -2,14 +2,47 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "wi/sim/registry.hpp"
+#include "wi/sim/workloads/flit_sim.hpp"
 #include "wi/sim/workloads/hybrid_system.hpp"
+#include "wi/sim/workloads/info_rates.hpp"
 
 namespace wi::sim {
 namespace {
+
+std::size_t live_threads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(begin(tasks), end(tasks)));
+}
+
+// First in this file, so that no other test has started the shared pool
+// yet: a one-thread engine keeps PHY curve builds and a runner's rows on
+// the calling thread.
+TEST(Engine, OneThreadEngineStartsNoPoolThread) {
+  ScenarioSpec info = ScenarioRegistry::paper().get("fig06_info_rates");
+  info.payload<InfoRateSpec>().mc_symbols = 2000;
+  ScenarioSpec flit =
+      ScenarioRegistry::paper().get("campaign_flit_mesh2d_8x8");
+  flit.payload<FlitSimSpec>().warmup_cycles = 100;
+  flit.payload<FlitSimSpec>().measure_cycles = 400;
+  const ScenarioSpec link =
+      ScenarioRegistry::paper().get("quickstart_link_rate");
+
+  const std::size_t before = live_threads();
+  SimEngine engine(EngineOptions{1});
+  for (const RunResult& result : engine.run_all({info, flit, link})) {
+    EXPECT_TRUE(result.ok()) << result.scenario << ": "
+                             << result.status.to_string();
+  }
+  EXPECT_EQ(engine.phy_cache().misses(), 1u);
+  EXPECT_EQ(live_threads(), before);
+}
 
 TEST(Registry, PaperScenariosAreComplete) {
   const auto& registry = ScenarioRegistry::paper();

@@ -36,7 +36,7 @@ ScenarioSpec small_fig10() {
 
 TEST(LdpcLatency, TablesIdenticalAtEveryThreadCountInSpecOrder) {
   const ScenarioSpec spec = small_fig10();
-  SimEngine serial(EngineOptions{1, false});
+  SimEngine serial(EngineOptions{1});
   const RunResult want = serial.run(spec);
   ASSERT_TRUE(want.ok()) << want.status.to_string();
 
@@ -53,7 +53,7 @@ TEST(LdpcLatency, TablesIdenticalAtEveryThreadCountInSpecOrder) {
         << "row " << i;
   }
 
-  SimEngine parallel(EngineOptions{4, false});
+  SimEngine parallel(EngineOptions{4});
   const RunResult got = parallel.run(spec);
   ASSERT_TRUE(got.ok()) << got.status.to_string();
   EXPECT_EQ(got.table, want.table);
@@ -75,7 +75,7 @@ TEST(LdpcLatency, TablesIdenticalAtEveryThreadCountInSpecOrder) {
 }
 
 TEST(LdpcLatency, RejectsWindowsOutsideTheDecoderRange) {
-  SimEngine engine(EngineOptions{4, false});
+  SimEngine engine(EngineOptions{4});
   ScenarioSpec spec = small_fig10();
   // mcc = 2 for the paper's edge spreading: W = 2 cannot see the blocks
   // the target block's checks reach back to.
@@ -94,7 +94,7 @@ TEST(LdpcLatency, RejectsWindowsOutsideTheDecoderRange) {
 }
 
 TEST(LdpcLatency, RejectsIterationCountsBeyondInt) {
-  SimEngine engine(EngineOptions{4, false});
+  SimEngine engine(EngineOptions{4});
   ScenarioSpec spec = small_fig10();
   // 2^32 + 1 used to narrow to one BP iteration and print a censored row.
   spec.payload<LdpcLatencySpec>().max_bp_iterations = 4294967297u;
@@ -107,7 +107,7 @@ TEST(LdpcLatency, RejectsIterationCountsBeyondInt) {
 TEST(LdpcLatency, RowFailureOnAWorkerBecomesAStatus) {
   // A lifting of 2 cannot hold the base matrix's four distinct circulant
   // shifts; the code build throws inside a row task on the pool.
-  SimEngine engine(EngineOptions{4, false});
+  SimEngine engine(EngineOptions{4});
   ScenarioSpec spec = small_fig10();
   spec.payload<LdpcLatencySpec>().bc_liftings = {100, 2, 150};
   const RunResult result = engine.run(spec);

@@ -19,19 +19,19 @@ TEST(PhyCurveCache, HitMissAccounting) {
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.misses(), 0u);
 
-  const auto a = cache.get(PhyReceiver::kUnquantized);
+  const auto a = cache.get({PhyReceiver::kUnquantized}, 0);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.size(), 1u);
 
-  const auto b = cache.get(PhyReceiver::kUnquantized);
+  const auto b = cache.get({PhyReceiver::kUnquantized}, 0);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   // Cache hit returns the identical curve instance.
   EXPECT_EQ(a.get(), b.get());
 
   // A different key is its own entry.
-  const auto c = cache.get(PhyReceiver::kUnquantized, 25e9, 1);
+  const auto c = cache.get({PhyReceiver::kUnquantized, 25e9, 1}, 0);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_NE(a.get(), c.get());
@@ -39,7 +39,7 @@ TEST(PhyCurveCache, HitMissAccounting) {
 
 TEST(PhyCurveCache, CachedCurveBitwiseEqualsFreshBuild) {
   PhyCurveCache cache;
-  const auto cached = cache.get(PhyReceiver::kUnquantized, 25e9, 2);
+  const auto cached = cache.get({PhyReceiver::kUnquantized, 25e9, 2}, 0);
   const PhyAbstraction fresh(PhyReceiver::kUnquantized, 25e9, 2);
   for (const double snr : linspace(-10.0, 40.0, 101)) {
     // Bitwise equality: the cache must not perturb the curve.
@@ -59,7 +59,7 @@ TEST(PhyCurveCache, ConcurrentGetsShareOneBuild) {
   threads.reserve(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     threads.emplace_back([&cache, &results, i] {
-      results[i] = cache.get(PhyReceiver::kUnquantized);
+      results[i] = cache.get({PhyReceiver::kUnquantized}, 0);
     });
   }
   for (auto& t : threads) t.join();

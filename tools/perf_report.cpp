@@ -5,15 +5,17 @@
 /// Usage:
 ///   tool_perf_report [--smoke] [output.json]
 ///
-/// Each kernel is timed best-of-N in this process, baseline and
-/// optimized back to back, so the reported speedups are insensitive to
-/// machine drift. --smoke runs one repetition of everything (the CI
-/// sanity gate); the default repetition counts are sized for a stable
-/// committed baseline. The JSON schema ("wi-bench-perf-v1") is described
-/// in the README's Performance section.
+/// Each kernel with a frozen baseline is timed in this process in
+/// interleaved rounds, one baseline sample then one optimized sample per
+/// round; its speedup is the median of the per-round ratios, so a host
+/// stall that hits one round moves nothing. --smoke runs one round of
+/// everything (the CI sanity gate); the default counts are sized for a
+/// stable committed baseline. The JSON schema ("wi-bench-perf-v1") is
+/// described in docs/PERFORMANCE.md.
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -67,14 +69,50 @@ double time_ns(const std::function<void()>& fn, int reps) {
   return best;
 }
 
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+/// Baseline vs optimized timing of one kernel: medians over rounds.
+struct Paired {
+  double base_ns = 0.0;
+  double opt_ns = 0.0;
+  double speedup = 0.0;  ///< median of the per-round base/opt ratios
+};
+
+/// `rounds` interleaved rounds, each timing the baseline then the
+/// optimized call, best of `reps` calls each.
+Paired time_paired(const std::function<void()>& base,
+                   const std::function<void()>& opt, int reps, int rounds) {
+  std::vector<double> base_ns, opt_ns, ratio;
+  for (int r = 0; r < rounds; ++r) {
+    base_ns.push_back(time_ns(base, reps));
+    opt_ns.push_back(time_ns(opt, reps));
+    ratio.push_back(base_ns.back() / opt_ns.back());
+  }
+  return {median(base_ns), median(opt_ns), median(ratio)};
+}
+
 struct Entry {
   std::string name;
   double ns_per_op = 0.0;
   double baseline_ns_per_op = 0.0;  ///< 0 = no baseline twin
   double throughput = 0.0;          ///< 0 = not meaningful
   std::string throughput_unit;
-  double rss_kb = 0.0;  ///< peak RSS when the entry finished timing
+  double speedup = 0.0;  ///< median ratio; set with baseline_ns_per_op
+  double rss_kb = 0.0;   ///< peak RSS when the entry finished timing
 };
+
+/// An entry timed against its baseline twin.
+Entry paired_entry(std::string name, const Paired& p, double work = 0.0,
+                   std::string unit = "") {
+  Entry e{std::move(name), p.opt_ns, p.base_ns, 0.0, std::move(unit),
+          p.speedup};
+  if (work > 0.0) e.throughput = work / p.opt_ns * 1e3;
+  return e;
+}
 
 /// push_back + max-RSS stamp: every entry records the process peak RSS
 /// observed once its timed runs completed.
@@ -93,8 +131,9 @@ void write_json(const std::vector<Entry>& entries, const std::string& path) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"schema\": \"wi-bench-perf-v1\",\n"
-      << "  \"note\": \"best-of-N wall times; baseline = frozen "
-         "pre-optimization kernel measured in the same process\",\n"
+      << "  \"note\": \"median wall times; speedup = median of interleaved "
+         "baseline/optimized ratios, baseline = frozen pre-optimization "
+         "kernel measured in the same process\",\n"
       << "  \"benchmarks\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
@@ -103,8 +142,7 @@ void write_json(const std::vector<Entry>& entries, const std::string& path) {
         << "      \"ns_per_op\": " << json_escape_number(e.ns_per_op);
     if (e.baseline_ns_per_op > 0.0) {
       char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2f",
-                    e.baseline_ns_per_op / e.ns_per_op);
+      std::snprintf(speedup, sizeof(speedup), "%.2f", e.speedup);
       out << ",\n      \"baseline_ns_per_op\": "
           << json_escape_number(e.baseline_ns_per_op)
           << ",\n      \"speedup\": " << speedup;
@@ -136,7 +174,10 @@ int main(int argc, char** argv) {
     }
   }
   const int reps_fast = smoke ? 1 : 7;    // sub-ms kernels
-  const int reps_slow = smoke ? 1 : 5;    // >100 ms kernels
+  // Interleaved baseline/optimized rounds per gated entry: one ratio
+  // sample each, the speedup is their median.
+  const int rounds = smoke ? 1 : 5;
+  const int round_reps_fast = smoke ? 1 : 3;  // best-of inside a round
   std::vector<Entry> entries;
 
   const wi::comm::Constellation ask4 = wi::comm::Constellation::ask(4);
@@ -149,31 +190,36 @@ int main(int argc, char** argv) {
     options.symbols = 20000;
     options.seed = 7;
     volatile double sink = 0.0;
-    const double base = time_ns(
-        [&] {
-          sink = wi::perf_baseline::info_rate_one_bit_sequence(channel,
-                                                               options);
-        },
-        reps_fast);
+    const auto base = [&] {
+      sink = wi::perf_baseline::info_rate_one_bit_sequence(channel, options);
+    };
     // Warm the noise tape before timing the steady-state path (the cold
     // first call is reported separately below).
     sink = wi::comm::info_rate_one_bit_sequence(channel, options);
-    const double opt = time_ns(
-        [&] { sink = wi::comm::info_rate_one_bit_sequence(channel, options); },
-        reps_fast);
-    push_entry(entries, {"info_rate_one_bit_sequence/4ask_m5_20000sym", opt,
-                       base, 20000.0 / opt * 1e3, "Msymbols/s"});
+    push_entry(entries,
+               paired_entry("info_rate_one_bit_sequence/4ask_m5_20000sym",
+                            time_paired(
+                                base,
+                                [&] {
+                                  sink = wi::comm::info_rate_one_bit_sequence(
+                                      channel, options);
+                                },
+                                round_reps_fast, rounds),
+                            20000.0, "Msymbols/s"));
     // Cold-tape cost: fresh seed defeats the memoization.
     std::uint64_t seed = 90000;
-    const double cold = time_ns(
-        [&] {
-          wi::comm::SequenceRateOptions cold_options = options;
-          cold_options.seed = ++seed;
-          sink = wi::comm::info_rate_one_bit_sequence(channel, cold_options);
-        },
-        reps_fast);
-    push_entry(entries, {"info_rate_one_bit_sequence/cold_noise_tape", cold,
-                       base, 20000.0 / cold * 1e3, "Msymbols/s"});
+    push_entry(entries,
+               paired_entry("info_rate_one_bit_sequence/cold_noise_tape",
+                            time_paired(
+                                base,
+                                [&] {
+                                  wi::comm::SequenceRateOptions cold = options;
+                                  cold.seed = ++seed;
+                                  sink = wi::comm::info_rate_one_bit_sequence(
+                                      channel, cold);
+                                },
+                                round_reps_fast, rounds),
+                            20000.0, "Msymbols/s"));
     (void)sink;
   }
 
@@ -182,14 +228,16 @@ int main(int argc, char** argv) {
     const wi::comm::OneBitOsChannel channel(
         wi::comm::paper_filter_symbolwise(), ask4, 25.0);
     volatile double sink = 0.0;
-    const double base = time_ns(
-        [&] { sink = wi::perf_baseline::mi_one_bit_symbolwise(channel); },
-        smoke ? 1 : 50);
-    const double opt = time_ns(
-        [&] { sink = wi::comm::mi_one_bit_symbolwise(channel); },
-        smoke ? 1 : 50);
     push_entry(entries,
-        {"mi_one_bit_symbolwise/4ask_m5", opt, base, 0.0, ""});
+               paired_entry(
+                   "mi_one_bit_symbolwise/4ask_m5",
+                   time_paired(
+                       [&] {
+                         sink =
+                             wi::perf_baseline::mi_one_bit_symbolwise(channel);
+                       },
+                       [&] { sink = wi::comm::mi_one_bit_symbolwise(channel); },
+                       smoke ? 1 : 10, smoke ? 1 : 7)));
     (void)sink;
   }
 
@@ -221,26 +269,23 @@ int main(int argc, char** argv) {
       const wi::noc::TrafficPattern traffic =
           wi::noc::TrafficPattern::uniform(64);
       volatile std::size_t sink = 0;
-      const double base = time_ns(
+      const Paired p = time_paired(
           [&] {
             sink = wi::perf_baseline::simulate_network(c.topo, routing,
                                                        traffic, c.rate,
                                                        config)
                        .delivered;
           },
-          reps_slow);
-      const double opt = time_ns(
           [&] {
             sink = wi::noc::simulate_network(c.topo, routing, traffic,
                                              c.rate, config)
                        .delivered;
           },
-          reps_slow);
+          1, rounds);
       const double cycles = static_cast<double>(config.warmup_cycles +
                                                 config.measure_cycles +
                                                 config.drain_cycles);
-      push_entry(entries,
-          {c.name, opt, base, cycles / opt * 1e3, "Mcycles/s"});
+      push_entry(entries, paired_entry(c.name, p, cycles, "Mcycles/s"));
       (void)sink;
     }
   }
@@ -256,31 +301,24 @@ int main(int argc, char** argv) {
           wi::core::PhyReceiver::kOneBitSequence, 25e9, 2, 1);
       sink = warm.info_rate_bpcu(25.0);
     }
-    const double serial = time_ns(
-        [&] {
-          const wi::core::PhyAbstraction phy(
-              wi::core::PhyReceiver::kOneBitSequence, 25e9, 2, 1);
-          sink = phy.info_rate_bpcu(25.0);
-        },
-        smoke ? 1 : 3);
     // Explicit 4 workers: threads=0 resolves to hardware_concurrency(),
     // which is 1 on some CI boxes and silently degenerates to the
     // serial loop — the bug this entry exists to catch. The serial
     // build is this entry's in-process baseline, so the JSON carries a
     // speedup field and the perf-trend gate pins the parallel path.
-    const double parallel = time_ns(
-        [&] {
-          const wi::core::PhyAbstraction phy(
-              wi::core::PhyReceiver::kOneBitSequence, 25e9, 2, 4);
-          sink = phy.info_rate_bpcu(25.0);
-        },
-        smoke ? 1 : 3);
+    const auto build = [&](std::size_t threads) {
+      const wi::core::PhyAbstraction phy(
+          wi::core::PhyReceiver::kOneBitSequence, 25e9, 2, threads);
+      sink = phy.info_rate_bpcu(25.0);
+    };
+    const Paired p =
+        time_paired([&] { build(1); }, [&] { build(4); }, 1, rounds);
     push_entry(entries,
-        {"phy_abstraction_build/one_bit_sequence/serial", serial, 0.0, 0.0,
+        {"phy_abstraction_build/one_bit_sequence/serial", p.base_ns, 0.0, 0.0,
          ""});
     push_entry(entries,
-        {"phy_abstraction_build/one_bit_sequence/parallel_4t", parallel,
-         serial, 0.0, ""});
+               paired_entry("phy_abstraction_build/one_bit_sequence/parallel_4t",
+                            p));
     (void)sink;
   }
 
@@ -298,48 +336,41 @@ int main(int argc, char** argv) {
 
     // Traffic pattern construction + one probability row read (the row
     // read keeps both sides' op big enough to time stably).
+    // Each /implicit entry is timed alone first, so its max_rss_kb is
+    // read before the dense twin has ever allocated; the gated entry
+    // then interleaves the two.
     volatile double dsink = 0.0;
-    const double traffic_implicit = time_ns(
-        [&] {
-          const wi::noc::TrafficPattern p =
-              wi::noc::TrafficPattern::implicit_uniform(modules);
-          double sum = 0.0;
-          for (std::size_t d = 0; d < modules; ++d) {
-            sum += p.probability(0, d);
-          }
-          dsink = sum;
-        },
-        reps_fast);
+    const auto traffic = [&](bool implicit) {
+      const wi::noc::TrafficPattern p =
+          implicit ? wi::noc::TrafficPattern::implicit_uniform(modules)
+                   : wi::noc::TrafficPattern::uniform(modules);
+      double sum = 0.0;
+      for (std::size_t d = 0; d < modules; ++d) {
+        sum += p.probability(0, d);
+      }
+      dsink = sum;
+    };
     push_entry(entries, {"traffic_build/mesh3d_16x16x16/implicit",
-                         traffic_implicit, 0.0, 0.0, ""});
-    const double traffic_dense = time_ns(
-        [&] {
-          const wi::noc::TrafficPattern p =
-              wi::noc::TrafficPattern::uniform(modules);
-          double sum = 0.0;
-          for (std::size_t d = 0; d < modules; ++d) {
-            sum += p.probability(0, d);
-          }
-          dsink = sum;
-        },
-        reps_slow);
-    push_entry(entries, {"traffic_build/mesh3d_16x16x16", traffic_implicit,
-                         traffic_dense, 0.0, ""});
+                         time_ns([&] { traffic(true); }, reps_fast), 0.0,
+                         0.0, ""});
 
     // Routing structure build: MeshGrid coordinate analysis vs the
     // dense (router, dst) first-hop port table the simulator needs
     // when the mesh shape is not recognised.
     volatile std::size_t sink = 0;
-    const double routing_implicit = time_ns(
-        [&] {
-          const auto grid = wi::noc::MeshGrid::analyze(topo);
-          sink = grid ? grid->next_port(0, routers - 1) : 0;
-        },
-        reps_fast);
+    const auto routing_implicit = [&] {
+      const auto grid = wi::noc::MeshGrid::analyze(topo);
+      sink = grid ? grid->next_port(0, routers - 1) : 0;
+    };
     push_entry(entries, {"routing_build/mesh3d_16x16x16/implicit",
-                         routing_implicit, 0.0, 0.0, ""});
-    const double routing_dense = time_ns(
-        [&] {
+                         time_ns(routing_implicit, reps_fast), 0.0, 0.0,
+                         ""});
+    push_entry(entries,
+               paired_entry("traffic_build/mesh3d_16x16x16",
+                            time_paired([&] { traffic(false); },
+                                        [&] { traffic(true); },
+                                        round_reps_fast, rounds)));
+    const auto routing_dense = [&] {
           std::vector<std::uint8_t> table(routers * routers, 0xFF);
           for (std::size_t r = 0; r < routers; ++r) {
             const auto& out = topo.out_links(r);
@@ -355,32 +386,28 @@ int main(int argc, char** argv) {
             }
           }
           sink = table[routers];
-        },
-        smoke ? 1 : 3);
-    push_entry(entries, {"routing_build/mesh3d_16x16x16", routing_implicit,
-                         routing_dense, 0.0, ""});
+    };
+    push_entry(entries,
+               paired_entry("routing_build/mesh3d_16x16x16",
+                            time_paired(routing_dense, routing_implicit,
+                                        round_reps_fast, rounds)));
 
     // Queueing-model setup: closed-form channel loads vs the dense
     // all-pairs route walk (8x8x8 keeps the dense twin affordable).
     const wi::noc::Topology q_topo = wi::noc::Topology::mesh_3d(8, 8, 8);
     const std::size_t q_modules = q_topo.module_count();
-    const double queueing_implicit = time_ns(
-        [&] {
-          const wi::noc::QueueingModel model(
-              q_topo, routing,
-              wi::noc::TrafficPattern::implicit_uniform(q_modules));
-          dsink = model.saturation_rate();
-        },
-        reps_fast);
-    const double queueing_dense = time_ns(
-        [&] {
-          const wi::noc::QueueingModel model(
-              q_topo, routing, wi::noc::TrafficPattern::uniform(q_modules));
-          dsink = model.saturation_rate();
-        },
-        reps_slow);
-    push_entry(entries, {"queueing_build/mesh3d_8x8x8", queueing_implicit,
-                         queueing_dense, 0.0, ""});
+    const auto queueing = [&](bool implicit) {
+      const wi::noc::QueueingModel model(
+          q_topo, routing,
+          implicit ? wi::noc::TrafficPattern::implicit_uniform(q_modules)
+                   : wi::noc::TrafficPattern::uniform(q_modules));
+      dsink = model.saturation_rate();
+    };
+    push_entry(entries,
+               paired_entry("queueing_build/mesh3d_8x8x8",
+                            time_paired([&] { queueing(false); },
+                                        [&] { queueing(true); },
+                                        round_reps_fast, rounds)));
     (void)sink;
     (void)dsink;
   }
@@ -415,25 +442,24 @@ int main(int argc, char** argv) {
     const wi::perf_baseline::BpDecoder baseline(h);
     const wi::fec::BpDecoder decoder(h);
     volatile int sink = 0;
-    const double base = time_ns(
+    wi::fec::BpResult out;
+    const Paired p = time_paired(
         [&] {
           for (const Frame& f : frames) {
             sink = baseline.decode(f.llr, {}, &f.parity).iterations;
           }
         },
-        reps_slow);
-    wi::fec::BpResult out;
-    const double opt = time_ns(
         [&] {
           for (const Frame& f : frames) {
             decoder.decode(f.llr, {}, &f.parity, out);
             sink = out.iterations;
           }
         },
-        reps_slow);
-    const double bits = static_cast<double>(frames.size() * n);
-    push_entry(entries, {"ldpc_decode/cc_n40_l24_sum_product_parity", opt,
-                         base, bits / opt * 1e3, "Mbit/s"});
+        1, rounds);
+    push_entry(entries,
+               paired_entry("ldpc_decode/cc_n40_l24_sum_product_parity", p,
+                            static_cast<double>(frames.size() * n),
+                            "Mbit/s"));
     (void)sink;
   }
 
@@ -451,21 +477,16 @@ int main(int argc, char** argv) {
     config.max_codewords = 96;
     config.seed = 1043;
     std::size_t codewords = 0;
-    const double serial = time_ns(
-        [&] {
-          config.threads = 1;
-          codewords = wi::fec::simulate_ber_window(code, 3, config).codewords;
-        },
-        reps_slow);
-    const double batched = time_ns(
-        [&] {
-          config.threads = 4;
-          codewords = wi::fec::simulate_ber_window(code, 3, config).codewords;
-        },
-        reps_slow);
-    push_entry(entries, {"ber_point/cc_n40_w3", batched, serial,
-                         static_cast<double>(codewords) / batched * 1e9,
-                         "codewords/s"});
+    const auto point = [&](std::size_t threads) {
+      config.threads = threads;
+      codewords = wi::fec::simulate_ber_window(code, 3, config).codewords;
+    };
+    const Paired p =
+        time_paired([&] { point(1); }, [&] { point(4); }, 1, rounds);
+    Entry entry = paired_entry("ber_point/cc_n40_w3", p);
+    entry.throughput = static_cast<double>(codewords) / p.opt_ns * 1e9;
+    entry.throughput_unit = "codewords/s";
+    push_entry(entries, std::move(entry));
   }
 
   // --- end-to-end SimEngine scenario (Fig. 8a queueing-model table) ---
@@ -491,7 +512,7 @@ int main(int argc, char** argv) {
     std::printf("  %-50s %12.0f ns/op", e.name.c_str(), e.ns_per_op);
     if (e.baseline_ns_per_op > 0.0) {
       std::printf("  (baseline %12.0f, speedup %.2fx)", e.baseline_ns_per_op,
-                  e.baseline_ns_per_op / e.ns_per_op);
+                  e.speedup);
     }
     std::printf("\n");
   }

@@ -573,7 +573,7 @@ int main(int argc, char** argv) {
   // Per-scenario failures are reported as statuses; this guard is for
   // environment failures (unwritable --out/--store, disk full, ...).
   try {
-    SimEngine engine({options.threads});
+    SimEngine engine(EngineOptions{options.threads});
     std::optional<ResultStore> store;
     if (options.merge_dir) {
       // The aggregator's store is the shared worker directory; keys

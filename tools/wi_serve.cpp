@@ -90,8 +90,8 @@ void print_usage(std::ostream& os) {
         "                       (default results/store, keyed with\n"
         "                       version '" WI_GIT_DESCRIBE "')\n"
         "  --no-store           memory tiers only, nothing persisted\n"
-        "  --campaign-threads N engine threads inside one campaign job\n"
-        "                       (default 2)\n"
+        "  --campaign-threads N seed replicas of one campaign job run\n"
+        "                       at once (default 2)\n"
         "  --metrics-out PATH   also write the final metrics table as\n"
         "                       CSV on shutdown\n"
         "  --shed-watermark N   shed new work at queue depth N with a\n"
